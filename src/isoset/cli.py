@@ -26,6 +26,7 @@ from .core import (
     ResourceLimitError,
     build_A,
     family_to_matrix,
+    max_dimension,
 )
 from .oracle import (
     RankBudget,
@@ -67,6 +68,16 @@ _MATRIX_CHECKS = {
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--t", type=int)
     p_search.add_argument("--a", type=int)
     p_search.add_argument("--b", type=int)
-    p_search.add_argument("--max-nodes", type=int, default=10_000_000)
+    p_search.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
     p_search.add_argument("--witness-out", help="write the witness family as JSON")
     p_search.set_defaults(func=_cmd_search)
 
@@ -275,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("input", nargs="?", help="matrix text or family JSON file")
     p_rank.add_argument("--gen-A", nargs=2, type=int, metavar=("K", "T"),
                         help="rank the full intersection matrix for (K, T)")
-    p_rank.add_argument("--max-nodes", type=int, default=10_000_000)
-    p_rank.add_argument("--max-bicliques", type=int, default=50_000)
+    p_rank.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
+    p_rank.add_argument("--max-bicliques", type=_positive_int, default=50_000)
     p_rank.set_defaults(func=_cmd_rank)
 
     p_table = sub.add_parser("table", help="isolation sizes per k, with optional oracle column")
     p_table.add_argument("--t", type=int, required=True)
     p_table.add_argument("--k-range", required=True, help="inclusive range LO..HI")
     p_table.add_argument("--oracle", action="store_true")
-    p_table.add_argument("--max-nodes", type=int, default=10_000_000)
+    p_table.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
     p_table.set_defaults(func=_cmd_table)
     return parser
 
@@ -294,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_RANGE
+    try:
+        max_dimension()  # a malformed ISOSET_MAX_DIM is a range error for every verb
+    except ValueError as exc:
+        return _fail(EXIT_RANGE, str(exc))
     return args.func(args)
 
 

@@ -9,6 +9,7 @@ identical inputs yield identical results including node counts.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -55,12 +56,19 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = None) -> CompatGraph:
-    """Build the isolation (or, with identity=True, identity) compatibility graph.
+def _iter_bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Two vertices (x1, y1), (x2, y2) are adjacent when x1 != x2, y1 != y2 and
-    the cross intersections x1 & y2, x2 & y1 are not both nonempty; the
-    identity graph requires both to be empty.
+
+def _intersecting_pairs(k: int, t: int, max_dim: int | None = None) -> list[tuple[int, int]]:
+    """The 1-entries (x, y) of A(k, t) as bit masks, in colex pair order.
+
+    The column subset is the outer key; both run in colex subset order.
+    Raises ResourceLimitError when C(k, t) exceeds the dimension cap.
     """
     cap = max_dimension() if max_dim is None else max_dim
     dim = comb(k, t)
@@ -68,39 +76,74 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
         raise ResourceLimitError(
             f"A_({k},{t}) would have {dim} rows, exceeding the cap {cap}"
         )
-    subsets = enumerate_t_subsets(k, t)
-    pairs = [(x, y) for y in subsets for x in subsets if x.bits & y.bits]
-    n = len(pairs)
-    xb = [p[0].bits for p in pairs]
-    yb = [p[1].bits for p in pairs]
-    adj = [0] * n
-    for u in range(n):
-        xu, yu = xb[u], yb[u]
-        for v in range(u + 1, n):
-            if xb[v] == xu or yb[v] == yu:
-                continue
-            cross_uv = xu & yb[v]
-            cross_vu = xb[v] & yu
-            if identity:
-                ok = not cross_uv and not cross_vu
-            else:
-                ok = not cross_uv or not cross_vu
-            if ok:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return CompatGraph(tuple(pairs), tuple(adj))
+    masks = [s.bits for s in enumerate_t_subsets(k, t)]
+    return [(x, y) for y in masks for x in masks if x & y]
 
 
-def _max_clique(adj_in: tuple[int, ...], max_nodes: int) -> tuple[list[int], int, bool]:
+def _compatible(
+    pairs: list[tuple[int, int]], probes: list[tuple[int, int]], identity: bool
+) -> list[int]:
+    """For each probe (x1, y1), the mask of the pairs (x2, y2) adjacent to it.
+
+    The adjacency rule of both compatibility graphs: x1 != x2, y1 != y2,
+    and the cross intersections x1 & y2, x2 & y1 are not both nonempty
+    (isolation) or are both empty (identity).  Bit i of a mask is pairs[i].
+    """
+    same_x: dict[int, int] = {}
+    same_y: dict[int, int] = {}
+    for i, (x, y) in enumerate(pairs):
+        same_x[x] = same_x.get(x, 0) | 1 << i
+        same_y[y] = same_y.get(y, 0) | 1 << i
+    x_has: dict[int, int] = {}  # element -> pairs whose row subset holds it
+    for x, mask in same_x.items():
+        for e in _iter_bits(x):
+            x_has[e] = x_has.get(e, 0) | mask
+    y_has: dict[int, int] = {}
+    for y, mask in same_y.items():
+        for e in _iter_bits(y):
+            y_has[e] = y_has.get(e, 0) | mask
+    full = (1 << len(pairs)) - 1
+    out = []
+    for x, y in probes:
+        x_meets = 0  # pairs whose row subset meets y
+        for e in _iter_bits(y):
+            x_meets |= x_has.get(e, 0)
+        y_meets = 0  # pairs whose column subset meets x
+        for e in _iter_bits(x):
+            y_meets |= y_has.get(e, 0)
+        clash = x_meets | y_meets if identity else x_meets & y_meets
+        out.append(full & ~(clash | same_x.get(x, 0) | same_y.get(y, 0)))
+    return out
+
+
+def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = None) -> CompatGraph:
+    """Build the isolation (or, with identity=True, identity) compatibility graph.
+
+    Two vertices (x1, y1), (x2, y2) are adjacent when x1 != x2, y1 != y2 and
+    the cross intersections x1 & y2, x2 & y1 are not both nonempty; the
+    identity graph requires both to be empty.
+    """
+    pairs = _intersecting_pairs(k, t, max_dim)
+    vertices = tuple((Subset(k, x), Subset(k, y)) for x, y in pairs)
+    return CompatGraph(vertices, tuple(_compatible(pairs, pairs, identity)))
+
+
+def _max_clique(
+    adj_in: Sequence[int], max_nodes: int, floor: int
+) -> tuple[list[int], int, bool]:
     """Branch-and-bound maximum clique with greedy-coloring bounds.
 
-    Vertices are relabeled internally by non-increasing degree (ties by
-    index) and a greedy clique seeds the incumbent.  At every node the
+    Only cliques with more than ``floor`` vertices are sought: a caller that
+    already holds a clique of that size passes it as the floor, and every
+    branch that cannot beat it is pruned.  Vertices are relabeled
+    internally by non-increasing degree (ties by index) and a greedy clique
+    seeds the incumbent when it beats the floor.  At every node the
     candidates are sorted by degree within the candidate set, colored
     greedily in that order, and branched in reverse color order; a vertex
     of color c cannot extend the clique by more than c.  All orderings are
-    index-tiebroken, so node counts are reproducible.  Returns
-    (best clique in original vertex ids, nodes, complete).
+    index-tiebroken, so node counts are reproducible.  Returns (best clique
+    above the floor in original vertex ids, or [] if none was found, nodes,
+    complete).
     """
     n = len(adj_in)
     if n == 0:
@@ -112,33 +155,27 @@ def _max_clique(adj_in: tuple[int, ...], max_nodes: int) -> tuple[list[int], int
         pos[v] = i
     adj = [0] * n
     for u in range(n):
-        rest = adj_in[u]
-        while rest:
-            low = rest & -rest
-            adj[pos[u]] |= 1 << pos[low.bit_length() - 1]
-            rest ^= low
+        for v in _iter_bits(adj_in[u]):
+            adj[pos[u]] |= 1 << pos[v]
 
     cand = (1 << n) - 1
-    best: list[int] = []
+    greedy: list[int] = []
     while cand:
         v = (cand & -cand).bit_length() - 1
-        best.append(v)
+        greedy.append(v)
         cand &= adj[v]
+    best: list[int] = greedy if len(greedy) > floor else []
+    target = max(floor, len(best))  # size a new clique must exceed
 
     nodes = 0
     clique: list[int] = []
 
     def expand(cand: int) -> None:
-        nonlocal nodes, best
+        nonlocal nodes, best, target
         nodes += 1
         if nodes > max_nodes:
             raise _BudgetExhausted
-        vs = []
-        rest = cand
-        while rest:
-            low = rest & -rest
-            vs.append(low.bit_length() - 1)
-            rest ^= low
+        vs = list(_iter_bits(cand))
         vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), v))
         color_of = {}
         classes: list[int] = []
@@ -154,17 +191,18 @@ def _max_clique(adj_in: tuple[int, ...], max_nodes: int) -> tuple[list[int], int
         vs.sort(key=lambda v: (color_of[v], v))
         p = cand
         for v in reversed(vs):
-            if len(clique) + color_of[v] <= len(best):
+            if len(clique) + color_of[v] <= target:
                 return
             child = p & adj[v]
             clique.append(v)
             if child:
                 expand(child)
-            elif len(clique) > len(best):
+            elif len(clique) > target:
                 best = clique.copy()
+                target = len(best)
             clique.pop()
             p ^= 1 << v
-            if len(clique) + p.bit_count() <= len(best):
+            if len(clique) + p.bit_count() <= target:
                 return
 
     complete = True
@@ -175,38 +213,63 @@ def _max_clique(adj_in: tuple[int, ...], max_nodes: int) -> tuple[list[int], int
     return sorted(relabel[v] for v in best), nodes, complete
 
 
-def _clique_to_family(graph: CompatGraph, clique: list[int], k: int, t: int, kind: str) -> FamilyPair:
-    picked = sorted(clique)
-    rows = tuple(graph.vertices[v][0] for v in picked)
-    cols = tuple(graph.vertices[v][1] for v in picked)
-    meta = {"search": kind, "k": k, "t": t}
-    return FamilyPair(k, t, t, rows, cols, meta)
+def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> SearchResult:
+    """Maximum clique of a compatibility graph, one orbit representative at a time.
+
+    S_k acts on the 1-entries (x, y) of A(k, t) and preserves both graphs;
+    its orbits are the values c = |x & y| = 1..t.  A maximum clique can be
+    moved onto one holding the representative rep_c = ({1..t}, {1..c} +
+    {t+1..2t-c}) of the smallest c among its vertices, so for each c in
+    turn (orbits with 2t - c > k are empty) the search runs on the
+    neighbours of rep_c with |x & y| >= c: earlier orbits are dropped, as
+    every clique meeting them was covered there.  The full graph is never
+    built.  The best clique so far is carried across as the floor of the
+    next subproblem, and all subproblems draw on one node budget.
+    """
+    pairs = _intersecting_pairs(k, t)
+    best: list[tuple[int, int]] = []
+    nodes = 0
+    complete = True
+    orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
+    reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
+    for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
+        sub = [pairs[i] for i in _iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
+        clique, used, complete = _max_clique(
+            _compatible(sub, sub, identity), max_nodes - nodes, len(best) - 1
+        )
+        nodes += used
+        if len(clique) + 1 > len(best):
+            best = [rep] + [sub[v] for v in clique]
+        if not complete:
+            break
+    best.sort(key=lambda p: (p[1], p[0]))  # colex pair order, as in compat_graph
+    rows = tuple(Subset(k, x) for x, _ in best)
+    cols = tuple(Subset(k, y) for _, y in best)
+    kind = "identity" if identity else "isolation"
+    witness = FamilyPair(k, t, t, rows, cols, {"search": kind, "k": k, "t": t})
+    return SearchResult(len(best), witness, nodes, complete)
 
 
 def max_isolation_bruteforce(k: int, t: int, budget: RankBudget | None = None) -> SearchResult:
     """Exact maximum isolation set of the full intersection matrix.
 
-    Maximum clique in the isolation compatibility graph; on an exhausted
-    node budget the best clique found so far is returned (complete=False).
+    Maximum clique in the isolation compatibility graph, searched in the
+    neighbourhood of each S_k orbit representative in turn with earlier
+    orbits dropped and the incumbent carried over; on an exhausted node
+    budget the best clique found so far is returned (complete=False).
     """
     budget = budget or RankBudget()
-    graph = compat_graph(k, t, identity=False)
-    clique, nodes, complete = _max_clique(graph.adjacency, budget.max_nodes)
-    witness = _clique_to_family(graph, clique, k, t, "isolation")
-    return SearchResult(len(clique), witness, nodes, complete)
+    return _orbit_clique_search(k, t, False, budget.max_nodes)
 
 
 def max_identity_bruteforce(k: int, t: int, budget: RankBudget | None = None) -> SearchResult:
     """Exact maximum identity submatrix of the full intersection matrix.
 
-    Same clique search on the stricter graph requiring both cross
-    intersections of every vertex pair to be empty.
+    Same orbit-representative clique search on the stricter graph requiring
+    both cross intersections of every vertex pair to be empty.
     """
     budget = budget or RankBudget()
-    graph = compat_graph(k, t, identity=True)
-    clique, nodes, complete = _max_clique(graph.adjacency, budget.max_nodes)
-    witness = _clique_to_family(graph, clique, k, t, "identity")
-    return SearchResult(len(clique), witness, nodes, complete)
+    return _orbit_clique_search(k, t, True, budget.max_nodes)
 
 
 def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None = None) -> SearchResult:

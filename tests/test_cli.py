@@ -146,7 +146,7 @@ class TestSearch:
         assert verify_isolation(witness).ok
 
     def test_incomplete_exit_4(self, capsys):
-        code, out = run(capsys, "search", "isolation", "--k", "6", "--t", "2",
+        code, out = run(capsys, "search", "isolation", "--k", "7", "--t", "3",
                         "--max-nodes", "3")
         assert code == 4
         assert out.startswith(">= ")
@@ -154,6 +154,19 @@ class TestSearch:
     def test_missing_params_exit_2(self, capsys):
         code, _ = run(capsys, "search", "isolation", "--k", "5")
         assert code == 2
+
+    def test_zero_max_nodes_exit_2(self, capsys):
+        code = main(["search", "isolation", "--k", "5", "--t", "2", "--max-nodes", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--max-nodes" in err
+
+    def test_non_integer_max_dim_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "lots")
+        code = main(["search", "isolation", "--k", "5", "--t", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ISOSET_MAX_DIM" in err
 
 
 class TestRank:
@@ -202,6 +215,12 @@ class TestRank:
         code, _ = run(capsys, "rank")
         assert code == 2
 
+    def test_zero_max_bicliques_exit_2(self, capsys):
+        code = main(["rank", "--gen-A", "4", "2", "--max-bicliques", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--max-bicliques" in err
+
 
 class TestTable:
     def test_t2_sizes(self, capsys):
@@ -231,7 +250,7 @@ class TestTable:
         assert all(r[4] == "yes" for r in rows)
 
     def test_oracle_column_budget_exhaustion(self, capsys):
-        code, out = run(capsys, "table", "--t", "2", "--k-range", "6..6",
+        code, out = run(capsys, "table", "--t", "3", "--k-range", "7..7",
                         "--oracle", "--max-nodes", "3")
         assert code == 0
         row = out.strip().splitlines()[1].split()

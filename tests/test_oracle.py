@@ -64,7 +64,7 @@ class TestCompatGraph:
 class TestMaxIsolation:
     @pytest.mark.parametrize(
         "k,t,expected",
-        [(4, 2, 3), (5, 2, 5), (6, 2, 6), (7, 2, 7), (6, 3, 3)],
+        [(4, 2, 3), (5, 2, 5), (6, 2, 6), (7, 2, 7), (6, 3, 3), (9, 4, 5)],
     )
     def test_exact_values(self, k, t, expected):
         result = max_isolation_bruteforce(k, t)
@@ -78,7 +78,8 @@ class TestMaxIsolation:
             assert result.optimum >= isolation_construct(k, t).size
 
     def test_budget_exhaustion(self):
-        result = max_isolation_bruteforce(6, 2, RankBudget(max_nodes=5))
+        # (7, 3) needs 76 nodes; (6, 2) now completes in 2
+        result = max_isolation_bruteforce(7, 3, RankBudget(max_nodes=5))
         assert not result.complete
         assert result.optimum >= 1
         assert verify_isolation(result.witness).ok
@@ -88,22 +89,44 @@ class TestMaxIsolation:
         b = max_isolation_bruteforce(5, 2)
         assert a == b
 
-    @pytest.mark.slow
     def test_k7_t3_long(self):
         result = max_isolation_bruteforce(7, 3, RankBudget(max_nodes=200_000_000))
         assert result.complete
         assert result.optimum == 5
         assert verify_isolation(result.witness).ok
 
-    @pytest.mark.slow
     def test_k8_t3_long(self):
         # k = 8 is the one mid-range value at t = 3 between the 2r+3 regime
         # boundaries; exhaustive search pins the maximum at exactly 2r+3 = 7
-        # (first computed complete at 3,000,833 nodes).
+        # (complete at 7,185 nodes over the orbit representatives).
         result = max_isolation_bruteforce(8, 3, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 7
         assert verify_isolation(result.witness).ok
+
+    @pytest.mark.slow
+    def test_k9_t3_long(self):
+        # k = 9 = 4t - 3 is where the 2r+3 and k regimes meet; the optimum
+        # is k = 9 (complete at 1,143,888 nodes, about 4 minutes)
+        result = max_isolation_bruteforce(9, 3, RankBudget(max_nodes=5_000_000))
+        assert result.complete
+        assert result.optimum == 9
+        assert verify_isolation(result.witness).ok
+
+    @pytest.mark.slow
+    def test_k10_t4_long(self):
+        # middle regime at t = 4: the 2r+3 construction (size 7) is optimal
+        # (complete at 114,866 nodes, about 30 s)
+        result = max_isolation_bruteforce(10, 4, RankBudget(max_nodes=5_000_000))
+        assert result.complete
+        assert result.optimum == 7
+        assert verify_isolation(result.witness).ok
+
+    @pytest.mark.parametrize("search", [max_isolation_bruteforce, max_identity_bruteforce])
+    def test_dimension_cap(self, search, monkeypatch):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "10")
+        with pytest.raises(ResourceLimitError):
+            search(6, 3)
 
 
 class TestMaxIdentity:
@@ -118,6 +141,37 @@ class TestMaxIdentity:
 
     def test_deterministic(self):
         assert max_identity_bruteforce(6, 2) == max_identity_bruteforce(6, 2)
+
+
+def _cross_check_cases():
+    for k in range(1, 8):
+        for t in range(1, k + 1):
+            for identity in (False, True):
+                # networkx needs about 5 minutes on the (7, 2) isolation graph
+                marks = [pytest.mark.slow] if (k, t, identity) == (7, 2, False) else []
+                kind = "identity" if identity else "isolation"
+                yield pytest.param(k, t, identity, marks=marks, id=f"{k}-{t}-{kind}")
+
+
+class TestNetworkxCrossCheck:
+    """The symmetry-broken search against an unbroken max clique on the full graph."""
+
+    @pytest.mark.parametrize("k,t,identity", _cross_check_cases())
+    def test_optimum_matches_networkx(self, k, t, identity):
+        nx = pytest.importorskip("networkx")
+        graph = compat_graph(k, t, identity=identity)
+        g = nx.Graph()
+        g.add_nodes_from(range(len(graph.vertices)))
+        for u, mask in enumerate(graph.adjacency):
+            g.add_edges_from((u, v) for v in range(u + 1, len(graph.vertices)) if mask >> v & 1)
+        _, clique_number = nx.max_weight_clique(g, weight=None)
+        if identity:
+            result, verify = max_identity_bruteforce(k, t), verify_identity
+        else:
+            result, verify = max_isolation_bruteforce(k, t), verify_isolation
+        assert result.complete
+        assert result.optimum == clique_number
+        assert verify(result.witness).ok
 
 
 class TestMaxTriangular:
