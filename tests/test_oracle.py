@@ -60,6 +60,18 @@ class TestCompatGraph:
         with pytest.raises(ResourceLimitError):
             compat_graph(6, 3, max_dim=10)
 
+    @pytest.mark.parametrize("k,t", [(5, 2), (6, 3)])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_adjacency_matches_set_rule(self, k, t, identity):
+        graph = compat_graph(k, t, identity=identity)
+        pairs = [(set(x.elements()), set(y.elements())) for x, y in graph.vertices]
+        for u, (x1, y1) in enumerate(pairs):
+            for v, (x2, y2) in enumerate(pairs):
+                cross = [bool(x1 & y2), bool(x2 & y1)]
+                fits = not any(cross) if identity else not all(cross)
+                expected = x1 != x2 and y1 != y2 and fits
+                assert bool(graph.adjacency[u] >> v & 1) == expected, (u, v)
+
 
 class TestMaxIsolation:
     @pytest.mark.parametrize(
