@@ -38,13 +38,10 @@ from .oracle import (
 )
 from .serialize import family_to_json, load_document, matrix_to_text
 from .verify import (
-    verify_identity,
     verify_identity_decomposition,
-    verify_isolation,
     verify_matrix_identity,
     verify_matrix_isolation,
     verify_matrix_triangular,
-    verify_triangular,
 )
 
 EXIT_OK = 0
@@ -53,12 +50,7 @@ EXIT_RANGE = 2
 EXIT_PARSE = 3
 EXIT_INCOMPLETE = 4
 
-_FAMILY_CHECKS = {
-    "identity": verify_identity,
-    "triangular": verify_triangular,
-    "isolation": verify_isolation,
-}
-_MATRIX_CHECKS = {
+_CHECKS = {
     "identity": verify_matrix_identity,
     "triangular": verify_matrix_triangular,
     "isolation": verify_matrix_isolation,
@@ -127,20 +119,23 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _load_matrix(path: str) -> BoolMatrix:
+    """Read a family or matrix document; a family yields its realized matrix."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    obj = load_document(text)
+    return family_to_matrix(obj) if isinstance(obj, FamilyPair) else obj
+
+
 def _cmd_verify(args) -> int:
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
-    try:
-        obj = load_document(text)
+        m = _load_matrix(args.input)
     except ParseError as exc:
         return _fail(EXIT_PARSE, str(exc))
     try:
-        if isinstance(obj, FamilyPair):
-            cert = _FAMILY_CHECKS[args.pattern](obj)
-        else:
-            cert = _MATRIX_CHECKS[args.pattern](obj)
+        cert = _CHECKS[args.pattern](m)
     except ValueError as exc:
         return _fail(EXIT_RANGE, str(exc))
     if cert.ok:
@@ -180,12 +175,7 @@ def _cmd_rank(args) -> int:
             k, t = args.gen_A
             m = build_A(k, t)
         elif args.input:
-            try:
-                text = Path(args.input).read_text()
-            except OSError as exc:
-                return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
-            obj = load_document(text)
-            m = family_to_matrix(obj) if isinstance(obj, FamilyPair) else obj
+            m = _load_matrix(args.input)
         else:
             return _fail(EXIT_RANGE, "rank requires an input path or --gen-A K T")
     except ParseError as exc:

@@ -32,6 +32,14 @@ class ParseError(ValueError):
     """A serialized family or matrix document is malformed."""
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def max_dimension() -> int:
     """Active cap on the number of rows of a generated intersection matrix.
 
@@ -47,6 +55,13 @@ def max_dimension() -> int:
     if value < 1:
         raise ValueError(f"{MAX_DIM_ENV} must be positive, got {value}")
     return value
+
+
+def check_cap(size: int, what: str, cap: int | None = None) -> None:
+    """Raise ResourceLimitError when size exceeds cap (default: max_dimension())."""
+    cap = max_dimension() if cap is None else cap
+    if size > cap:
+        raise ResourceLimitError(f"{size} {what} exceed the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,7 @@ class Subset:
 
     def elements(self) -> tuple[int, ...]:
         """Members in ascending order."""
-        return tuple(e for e in range(1, self.universe + 1) if self.bits >> (e - 1) & 1)
+        return tuple(e + 1 for e in iter_bits(self.bits))
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -118,9 +133,9 @@ def intersects(a: Subset, b: Subset) -> bool:
 class FamilyPair:
     """An ordered pair of subset families (row indices, column indices).
 
-    Always square: rows and cols have equal length.  Every row subset has
-    cardinality ``row_size`` and every column subset ``col_size``.  ``meta``
-    records the construction name and its parameters.
+    Always square and nonempty: rows and cols have equal, positive length.
+    Every row subset has cardinality ``row_size`` and every column subset
+    ``col_size``.  ``meta`` records the construction name and its parameters.
     """
 
     universe: int
@@ -137,6 +152,8 @@ class FamilyPair:
             raise ValueError(
                 f"family must be square: {len(self.rows)} rows vs {len(self.cols)} cols"
             )
+        if not self.rows:
+            raise ValueError("family must contain at least one pair")
         for label, seq, want in (("row", self.rows, self.row_size), ("col", self.cols, self.col_size)):
             for i, s in enumerate(seq):
                 if s.universe != self.universe:
@@ -161,12 +178,10 @@ class FamilyPair:
         """Build a family from element lists, inferring row/col sizes."""
         row_sets = tuple(Subset.of(r, universe) for r in rows)
         col_sets = tuple(Subset.of(c, universe) for c in cols)
-        if not row_sets or not col_sets:
-            raise ValueError("family must contain at least one pair")
         return cls(
             universe=universe,
-            row_size=row_sets[0].cardinality(),
-            col_size=col_sets[0].cardinality(),
+            row_size=row_sets[0].cardinality() if row_sets else 0,
+            col_size=col_sets[0].cardinality() if col_sets else 0,
             rows=row_sets,
             cols=col_sets,
             meta=dict(meta or {}),
@@ -204,14 +219,7 @@ class BoolMatrix:
 
     def ones(self) -> list[tuple[int, int]]:
         """All 1-entries as 1-based (i, j) pairs in row-major order."""
-        out = []
-        for i in range(self.n_rows):
-            mask = self.rows[i]
-            while mask:
-                low = mask & -mask
-                out.append((i + 1, low.bit_length()))
-                mask ^= low
-        return out
+        return [(i + 1, j + 1) for i, mask in enumerate(self.rows) for j in iter_bits(mask)]
 
     def count_ones(self) -> int:
         return sum(mask.bit_count() for mask in self.rows)
@@ -219,10 +227,8 @@ class BoolMatrix:
     def transpose(self) -> "BoolMatrix":
         cols = [0] * self.n_cols
         for i, mask in enumerate(self.rows):
-            while mask:
-                low = mask & -mask
-                cols[low.bit_length() - 1] |= 1 << i
-                mask ^= low
+            for j in iter_bits(mask):
+                cols[j] |= 1 << i
         return BoolMatrix(self.n_cols, self.n_rows, tuple(cols))
 
     @classmethod
@@ -320,14 +326,27 @@ def enumerate_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
     return tuple(Subset.of(c, k) for c in combos)
 
 
+def _element_index(groups: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Map each 0-based element to the positions of the subsets holding it.
+
+    ``groups`` yields (subset bits, position mask) pairs; an element's
+    entry is the OR of the position masks of every subset containing it.
+    """
+    index: dict[int, int] = {}
+    for bits, positions in groups:
+        for e in iter_bits(bits):
+            index[e] = index.get(e, 0) | positions
+    return index
+
+
 def realize(rows: Sequence[Subset], cols: Sequence[Subset]) -> BoolMatrix:
     """Realize the intersection pattern: entry (i, j) = 1 iff rows[i] meets cols[j]."""
+    cols_with = _element_index((y.bits, 1 << j) for j, y in enumerate(cols))
     masks = []
     for x in rows:
         mask = 0
-        for j, y in enumerate(cols):
-            if x.bits & y.bits:
-                mask |= 1 << j
+        for e in iter_bits(x.bits):
+            mask |= cols_with.get(e, 0)
         masks.append(mask)
     return BoolMatrix(len(rows), len(cols), tuple(masks))
 
@@ -344,11 +363,6 @@ def build_A(k: int, t: int, max_dim: int | None = None) -> BoolMatrix:
     symmetric with an all-ones diagonal.  Refuses instances whose dimension
     (k choose t) exceeds ``max_dim`` (default: max_dimension()).
     """
-    cap = max_dimension() if max_dim is None else max_dim
-    dim = comb(k, t)
-    if dim > cap:
-        raise ResourceLimitError(
-            f"A_({k},{t}) would have {dim} rows, exceeding the cap {cap}"
-        )
+    check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
     subsets = enumerate_t_subsets(k, t)
     return realize(subsets, subsets)

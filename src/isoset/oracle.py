@@ -18,11 +18,12 @@ from .core import (
     BoolMatrix,
     FamilyPair,
     RangeError,
-    ResourceLimitError,
     SearchResult,
     Subset,
+    _element_index,
+    check_cap,
     enumerate_t_subsets,
-    max_dimension,
+    iter_bits,
 )
 
 
@@ -56,26 +57,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _iter_bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _intersecting_pairs(k: int, t: int, max_dim: int | None = None) -> list[tuple[int, int]]:
     """The 1-entries (x, y) of A(k, t) as bit masks, in colex pair order.
 
     The column subset is the outer key; both run in colex subset order.
     Raises ResourceLimitError when C(k, t) exceeds the dimension cap.
     """
-    cap = max_dimension() if max_dim is None else max_dim
-    dim = comb(k, t)
-    if dim > cap:
-        raise ResourceLimitError(
-            f"A_({k},{t}) would have {dim} rows, exceeding the cap {cap}"
-        )
+    check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
     masks = [s.bits for s in enumerate_t_subsets(k, t)]
     return [(x, y) for y in masks for x in masks if x & y]
 
@@ -94,22 +82,16 @@ def _compatible(
     for i, (x, y) in enumerate(pairs):
         same_x[x] = same_x.get(x, 0) | 1 << i
         same_y[y] = same_y.get(y, 0) | 1 << i
-    x_has: dict[int, int] = {}  # element -> pairs whose row subset holds it
-    for x, mask in same_x.items():
-        for e in _iter_bits(x):
-            x_has[e] = x_has.get(e, 0) | mask
-    y_has: dict[int, int] = {}
-    for y, mask in same_y.items():
-        for e in _iter_bits(y):
-            y_has[e] = y_has.get(e, 0) | mask
+    x_has = _element_index(same_x.items())  # element -> pairs whose row subset holds it
+    y_has = _element_index(same_y.items())
     full = (1 << len(pairs)) - 1
     out = []
     for x, y in probes:
         x_meets = 0  # pairs whose row subset meets y
-        for e in _iter_bits(y):
+        for e in iter_bits(y):
             x_meets |= x_has.get(e, 0)
         y_meets = 0  # pairs whose column subset meets x
-        for e in _iter_bits(x):
+        for e in iter_bits(x):
             y_meets |= y_has.get(e, 0)
         clash = x_meets | y_meets if identity else x_meets & y_meets
         out.append(full & ~(clash | same_x.get(x, 0) | same_y.get(y, 0)))
@@ -155,7 +137,7 @@ def _max_clique(
         pos[v] = i
     adj = [0] * n
     for u in range(n):
-        for v in _iter_bits(adj_in[u]):
+        for v in iter_bits(adj_in[u]):
             adj[pos[u]] |= 1 << pos[v]
 
     cand = (1 << n) - 1
@@ -175,7 +157,7 @@ def _max_clique(
         nodes += 1
         if nodes > max_nodes:
             raise _BudgetExhausted
-        vs = list(_iter_bits(cand))
+        vs = list(iter_bits(cand))
         vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), v))
         color_of = {}
         classes: list[int] = []
@@ -233,7 +215,7 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
     for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
-        sub = [pairs[i] for i in _iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
+        sub = [pairs[i] for i in iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
         clique, used, complete = _max_clique(
             _compatible(sub, sub, identity), max_nodes - nodes, len(best) - 1
         )
@@ -287,26 +269,19 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         raise RangeError(f"need a >= 1 and b >= 1, got a={a}, b={b}")
     if max(a, b) > k:
         raise RangeError(f"need k >= max(a, b) = {max(a, b)}, got k={k}")
-    if comb(k, a) * comb(k, b) > max_dimension():
-        raise ResourceLimitError(
-            f"{comb(k, a) * comb(k, b)} candidate pairs exceed the cap {max_dimension()}"
-        )
+    check_cap(comb(k, a) * comb(k, b), "candidate pairs")
     budget = budget or RankBudget()
 
+    # canonical first pairs, one per overlap c; c = min(a, b) fits as max(a, b) <= k
+    firsts = [
+        ((1 << a) - 1, ((1 << c) - 1) | (((1 << (b - c)) - 1) << a), a + b - c)
+        for c in range(1, min(a, b) + 1)
+        if a + b - c <= k
+    ]
     nodes = 0
-    best: tuple = ()
+    best: tuple = (firsts[0][:2],)  # a single meeting pair is already triangular
     path: list[tuple[int, int]] = []
     visited: set = set()
-
-    def first_candidates() -> list[tuple[int, int, int]]:
-        out = []
-        for c in range(1, min(a, b) + 1):
-            if a + b - c > k:
-                continue
-            amask = (1 << a) - 1
-            bmask = ((1 << c) - 1) | (((1 << (b - c)) - 1) << a)
-            out.append((amask, bmask, a + b - c))
-        return out
 
     def candidates(union_a: int, bs: tuple[int, ...], u: int) -> list[tuple[int, int, int]]:
         out = []
@@ -317,7 +292,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
                 continue
             fresh_a = ((1 << fa) - 1) << u
             ua = u + fa
-            pool = [e for e in range(ua) if not union_a >> e & 1]
+            pool = list(iter_bits(~union_a & ((1 << ua) - 1)))
             for old_a in combinations(range(u), a - fa):
                 amask = fresh_a
                 for e in old_a:
@@ -349,7 +324,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         if key in visited:
             return
         visited.add(key)
-        cands = first_candidates() if not path else candidates(union_a, bs, u)
+        cands = firsts if not path else candidates(union_a, bs, u)
         for amask, bmask, u2 in cands:
             path.append((amask, bmask))
             extend(union_a | amask, bs + (bmask,), u2)
@@ -376,11 +351,8 @@ def fooling_lower_bound(m: BoolMatrix) -> int:
     Boolean rank.
     """
     chosen: list[tuple[int, int]] = []
-    for i in range(m.n_rows):
-        row = m.rows[i]
-        for j in range(m.n_cols):
-            if not row >> j & 1:
-                continue
+    for i, row in enumerate(m.rows):
+        for j in iter_bits(row):
             if all(
                 p != i and q != j and not (row >> q & 1 and m.rows[p] >> j & 1)
                 for p, q in chosen
@@ -436,10 +408,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     """
     budget = budget or RankBudget()
     total_ones = m.count_ones()
-    if total_ones > max_dimension():
-        raise ResourceLimitError(
-            f"{total_ones} one-entries exceed the cap {max_dimension()}"
-        )
+    check_cap(total_ones, "one-entries")
     if total_ones == 0:
         return SearchResult(0, (), 0, True, 0)
 
@@ -452,20 +421,15 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     rect_masks = []
     for rmask, cmask in rects:
         mask = 0
-        rr = rmask
-        while rr:
-            low = rr & -rr
-            i = low.bit_length()
-            rr ^= low
-            cc = cmask
-            while cc:
-                lc = cc & -cc
-                mask |= 1 << index_of[(i, lc.bit_length())]
-                cc ^= lc
+        cols = [j + 1 for j in iter_bits(cmask)]
+        for i in iter_bits(rmask):
+            for j in cols:
+                mask |= 1 << index_of[(i + 1, j)]
         rect_masks.append(mask)
-    entry_rects = [
-        [ri for ri, rm in enumerate(rect_masks) if rm >> x & 1] for x in range(ne)
-    ]
+    entry_rects: list[list[int]] = [[] for _ in range(ne)]
+    for ri, rm in enumerate(rect_masks):
+        for x in iter_bits(rm):
+            entry_rects[x].append(ri)
 
     # pairwise entry compatibility for the isolation lower bound
     compat = [0] * ne
@@ -526,16 +490,8 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         uncovered = full & ~covered
         if len(chosen) + isolation_bound(uncovered) >= len(best_cover):
             return
-        branch, fewest = -1, 1 << 60
-        ee = uncovered
-        while ee:
-            low = ee & -ee
-            x = low.bit_length() - 1
-            ee ^= low
-            cnt = len(entry_rects[x])
-            if cnt < fewest:
-                fewest, branch = cnt, x
-        if fewest == 0:
+        branch = min(iter_bits(uncovered), key=lambda x: len(entry_rects[x]))
+        if not entry_rects[branch]:
             return  # entry not covered by any enumerated rectangle
         for ri in entry_rects[branch]:
             chosen.append(ri)
@@ -551,19 +507,11 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     complete = enum_complete and search_complete
     optimum = len(best_cover)
     witness = tuple(
-        (_mask_indices(rmask), _mask_indices(cmask)) for rmask, cmask in best_cover
+        (Subset(m.n_rows, rmask).elements(), Subset(m.n_cols, cmask).elements())
+        for rmask, cmask in best_cover
     )
     lower = optimum if complete else root_lb
     return SearchResult(optimum, witness, nodes, complete, lower)
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
 
 
 def cover_to_factors(

@@ -1,13 +1,19 @@
 """Pattern certificates for families, matrices, and identity decompositions.
 
-Each checker scans the full index range and reports every violation as an
-(i, j, observed, expected) quadruple with 1-based indices, so property-test
-shrinking stays informative.  Certificates are truncated at VIOLATION_CAP.
+Identity, triangular and isolation sets are properties of the realized 0/1
+matrix, so each family verifier checks family_to_matrix(fp) with its matrix
+counterpart.  Violations come from row-mask differences: the set bits of
+row ^ expected_row for identity and triangular, and for isolation first the
+missing diagonal entries, then the above-diagonal bits of row & transposed
+row.  Every violation is an (i, j, observed, expected) quadruple with
+1-based indices, listed in row-major order within each kind, so
+property-test shrinking stays informative.  Certificates are truncated at
+VIOLATION_CAP.
 """
 
 from __future__ import annotations
 
-from .core import BoolMatrix, FamilyPair, PatternCertificate
+from .core import BoolMatrix, FamilyPair, PatternCertificate, family_to_matrix, iter_bits
 
 
 def verify_isolation(fp: FamilyPair) -> PatternCertificate:
@@ -18,77 +24,46 @@ def verify_isolation(fp: FamilyPair) -> PatternCertificate:
     to be empty.  A failing diagonal entry is reported as (i, i, 0, 1); a
     failing pair as (i, j, 1, 0) with i < j.
     """
-    n = fp.size
-    rb = [s.bits for s in fp.rows]
-    cb = [s.bits for s in fp.cols]
-    violations = []
-    for i in range(n):
-        if not rb[i] & cb[i]:
-            violations.append((i + 1, i + 1, 0, 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rb[i] & cb[j] and rb[j] & cb[i]:
-                violations.append((i + 1, j + 1, 1, 0))
-    return PatternCertificate.from_violations("isolation", violations)
+    return verify_matrix_isolation(family_to_matrix(fp))
 
 
 def verify_matrix_isolation(m: BoolMatrix) -> PatternCertificate:
     """Check that the main diagonal of a square matrix is an isolation set."""
     _require_square(m)
-    violations = []
-    for i in range(1, m.n_rows + 1):
-        if not m.entry(i, i):
-            violations.append((i, i, 0, 1))
-    for i in range(1, m.n_rows + 1):
-        for j in range(i + 1, m.n_cols + 1):
-            if m.entry(i, j) and m.entry(j, i):
-                violations.append((i, j, 1, 0))
+    violations = [(i + 1, i + 1, 0, 1) for i, row in enumerate(m.rows) if not row >> i & 1]
+    for i, (row, col) in enumerate(zip(m.rows, m.transpose().rows)):
+        for j in iter_bits(row & col & ~((2 << i) - 1)):
+            violations.append((i + 1, j + 1, 1, 0))
     return PatternCertificate.from_violations("isolation", violations)
 
 
 def verify_identity(fp: FamilyPair) -> PatternCertificate:
     """Check rows[i] meets cols[j] exactly when i == j."""
-    return _verify_family(fp, "identity", lambda i, j: i == j)
+    return verify_matrix_identity(family_to_matrix(fp))
 
 
 def verify_triangular(fp: FamilyPair) -> PatternCertificate:
     """Check rows[i] meets cols[j] exactly when i >= j (ones on and below the diagonal)."""
-    return _verify_family(fp, "triangular", lambda i, j: i >= j)
-
-
-def _verify_family(fp: FamilyPair, pattern: str, expect) -> PatternCertificate:
-    rb = [s.bits for s in fp.rows]
-    cb = [s.bits for s in fp.cols]
-    n = fp.size
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            observed = 1 if rb[i] & cb[j] else 0
-            expected = 1 if expect(i, j) else 0
-            if observed != expected:
-                violations.append((i + 1, j + 1, observed, expected))
-    return PatternCertificate.from_violations(pattern, violations)
+    return verify_matrix_triangular(family_to_matrix(fp))
 
 
 def verify_matrix_identity(m: BoolMatrix) -> PatternCertificate:
     """Check a square matrix equals the identity pattern entry for entry."""
-    return _verify_matrix(m, "identity", lambda i, j: i == j)
+    return _verify_rows(m, "identity", lambda i: 1 << i)
 
 
 def verify_matrix_triangular(m: BoolMatrix) -> PatternCertificate:
     """Check a square matrix has ones exactly on and below the diagonal."""
-    return _verify_matrix(m, "triangular", lambda i, j: i >= j)
+    return _verify_rows(m, "triangular", lambda i: (2 << i) - 1)
 
 
-def _verify_matrix(m: BoolMatrix, pattern: str, expect) -> PatternCertificate:
+def _verify_rows(m: BoolMatrix, pattern: str, expected_row) -> PatternCertificate:
     _require_square(m)
     violations = []
-    for i in range(1, m.n_rows + 1):
-        for j in range(1, m.n_cols + 1):
-            observed = m.entry(i, j)
-            expected = 1 if expect(i, j) else 0
-            if observed != expected:
-                violations.append((i, j, observed, expected))
+    for i, row in enumerate(m.rows):
+        expected = expected_row(i)
+        for j in iter_bits(row ^ expected):
+            violations.append((i + 1, j + 1, row >> j & 1, expected >> j & 1))
     return PatternCertificate.from_violations(pattern, violations)
 
 
@@ -120,15 +95,11 @@ def verify_identity_decomposition(x: BoolMatrix, y: BoolMatrix) -> PatternCertif
         )
     for i in range(n):
         produced = 0
-        xrow = x.rows[i]
-        while xrow:
-            low = xrow & -xrow
-            produced |= y.rows[low.bit_length() - 1]
-            xrow ^= low
+        for inner in iter_bits(x.rows[i]):
+            produced |= y.rows[inner]
         expected = 1 << i
         if produced != expected:
-            wrong = produced ^ expected
-            j = (wrong & -wrong).bit_length()
+            j = next(iter_bits(produced ^ expected)) + 1
             raise ValueError(
                 f"X*Y is not the identity: first wrong entry at ({i + 1}, {j})"
             )

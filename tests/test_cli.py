@@ -13,6 +13,12 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def write_zero_pair_document(path):
+    doc = {"schema_version": 1, "meta": {}, "universe": 4, "row_size": 2,
+           "col_size": 2, "rows": [], "cols": []}
+    path.write_text(json.dumps(doc))
+
+
 class TestConstruct:
     def test_circulant_reference_grid(self, capsys, golden_dir):
         code, out = run(capsys, "construct", "circulant", "--p", "5", "--q", "4")
@@ -117,6 +123,14 @@ class TestVerify:
         code, _ = run(capsys, "verify", "isolation", str(tmp_path / "nope"))
         assert code == 3
 
+    def test_zero_pair_document_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        write_zero_pair_document(path)
+        code = main(["verify", "isolation", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "at least one pair" in captured.err
+
 
 class TestSearch:
     def test_isolation_5_2(self, capsys):
@@ -154,6 +168,15 @@ class TestSearch:
     def test_missing_params_exit_2(self, capsys):
         code, _ = run(capsys, "search", "isolation", "--k", "5")
         assert code == 2
+
+    def test_triangular_one_node_budget_writes_one_pair(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        code, out = run(capsys, "search", "triangular", "--a", "2", "--b", "2", "--k", "4",
+                        "--max-nodes", "1", "--witness-out", str(path))
+        assert code == 4
+        assert out.splitlines()[0] == ">= 1"
+        code, out = run(capsys, "verify", "triangular", str(path))
+        assert code == 0 and out.strip() == "ok"
 
     def test_zero_max_nodes_exit_2(self, capsys):
         code = main(["search", "isolation", "--k", "5", "--t", "2", "--max-nodes", "0"])
@@ -210,6 +233,14 @@ class TestRank:
         path.write_text("oops")
         code, _ = run(capsys, "rank", str(path))
         assert code == 3
+
+    def test_zero_pair_document_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        write_zero_pair_document(path)
+        code = main(["rank", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "at least one pair" in captured.err
 
     def test_no_input_exit_2(self, capsys):
         code, _ = run(capsys, "rank")

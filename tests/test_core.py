@@ -176,6 +176,12 @@ class TestFamilyPair:
         with pytest.raises(ValueError):
             FamilyPair(4, 1, 1, (S([1], 5),), (S([2], 4),))
 
+    def test_zero_pairs_rejected_by_both_constructors(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            FamilyPair(4, 2, 2, (), ())
+        with pytest.raises(ValueError, match="at least one pair"):
+            FamilyPair.from_elements([], [], 4)
+
 
 class TestFamilyToMatrix:
     def test_singletons_give_identity(self):

@@ -205,6 +205,13 @@ class TestMaxTriangular:
         assert 1 <= result.optimum <= 5
         assert verify_triangular(result.witness).ok
 
+    def test_one_node_budget_returns_seed_pair(self):
+        # the canonical first pair is the incumbent before any node is expanded
+        result = max_triangular_bruteforce(2, 2, 4, RankBudget(max_nodes=1))
+        assert not result.complete
+        assert result.optimum == 1 == result.witness.size
+        assert verify_triangular(result.witness).ok
+
     def test_universe_too_small(self):
         with pytest.raises(RangeError):
             max_triangular_bruteforce(3, 2, 2)

@@ -1,5 +1,7 @@
 """Pattern certificates and the identity-decomposition checker."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from isoset import (
     verify_triangular,
 )
 from isoset.core import VIOLATION_CAP
+
+from conftest import elements_of, naive_pattern
 
 
 def family(rows, cols, universe):
@@ -124,11 +128,60 @@ class TestMatrixPatternChecks:
         assert not verify_matrix_triangular(BoolMatrix.identity(3)).ok
 
 
+def naive_violations(fp):
+    """Violation lists of the three patterns, from the set-based grid alone."""
+    grid = naive_pattern(*elements_of(fp))
+    n = len(grid)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def mismatches(want):
+        return [(i + 1, j + 1, grid[i][j], want(i, j)) for i, j in cells if grid[i][j] != want(i, j)]
+
+    return {
+        "identity": mismatches(lambda i, j: int(i == j)),
+        "triangular": mismatches(lambda i, j: int(i >= j)),
+        "isolation": [(i + 1, i + 1, 0, 1) for i in range(n) if not grid[i][i]]
+        + [(i + 1, j + 1, 1, 0) for i, j in cells if i < j and grid[i][j] and grid[j][i]],
+    }
+
+
+def large_universe_families():
+    """Families over [1500] whose elements sit near the top of the universe."""
+    rng = random.Random(7)
+    pool = range(1490, 1501)
+    out = []
+    for n in (1, 4, 9):
+        rows = [rng.sample(pool, 3) for _ in range(n)]
+        cols = [rng.sample(pool, 2) for _ in range(n)]
+        out.append(family(rows, cols, 1500))
+    return out
+
+
 class TestCrossViewAgreement:
+    @staticmethod
+    def assert_matches_naive(fp):
+        naive = naive_violations(fp)
+        m = family_to_matrix(fp)
+        for pattern, family_check, matrix_check in [
+            ("identity", verify_identity, verify_matrix_identity),
+            ("triangular", verify_triangular, verify_matrix_triangular),
+            ("isolation", verify_isolation, verify_matrix_isolation),
+        ]:
+            cert = family_check(fp)
+            assert cert.pattern == pattern
+            assert cert.violations == tuple(naive[pattern])
+            assert cert.ok == (not naive[pattern])
+            assert matrix_check(m) == cert
+
     @settings(max_examples=200)
     @given(family_strategy())
     def test_family_and_matrix_views_agree(self, fp):
-        assert verify_isolation(fp).ok == verify_matrix_isolation(family_to_matrix(fp)).ok
+        self.assert_matches_naive(fp)
+
+    @pytest.mark.parametrize("fp", large_universe_families(), ids=lambda fp: f"n{fp.size}")
+    def test_large_universe_matches_naive(self, fp):
+        assert fp.universe > 1000
+        self.assert_matches_naive(fp)
 
     @given(family_strategy())
     def test_identity_implies_isolation(self, fp):
