@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
@@ -214,8 +214,7 @@ class BoolMatrix:
 
     def row_string(self, i: int) -> str:
         """Row i (1-based) as a string of '0'/'1' characters, column 1 first."""
-        mask = self.rows[i - 1]
-        return "".join("1" if mask >> j & 1 else "0" for j in range(self.n_cols))
+        return format(self.rows[i - 1], f"0{self.n_cols}b")[::-1]
 
     def ones(self) -> list[tuple[int, int]]:
         """All 1-entries as 1-based (i, j) pairs in row-major order."""
@@ -282,15 +281,12 @@ class PatternCertificate:
     def from_violations(
         cls,
         pattern: str,
-        violations: Sequence[tuple[int, int, int, int]],
+        violations: Iterable[tuple[int, int, int, int]],
         notes: Sequence[str] = (),
     ) -> "PatternCertificate":
-        return cls(
-            pattern=pattern,
-            ok=not violations,
-            violations=tuple(violations[:VIOLATION_CAP]),
-            notes=tuple(notes),
-        )
+        """Keep the first VIOLATION_CAP violations; the rest are never drawn."""
+        kept = tuple(islice(violations, VIOLATION_CAP))
+        return cls(pattern=pattern, ok=not kept, violations=kept, notes=tuple(notes))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,7 @@ def _max_clique(
         expand((1 << n) - 1)
     except _BudgetExhausted:
         complete = False
+    del expand  # break the closure's reference to itself
     return sorted(relabel[v] for v in best), nodes, complete
 
 
@@ -335,6 +336,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         extend(0, (), 0)
     except _BudgetExhausted:
         complete = False
+    del extend  # break the closure's reference to itself
 
     rows = tuple(Subset(k, amask) for amask, _ in best)
     cols = tuple(Subset(k, bmask) for _, bmask in best)
@@ -400,11 +402,13 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
 
     Enumerates maximal rectangles, then runs branch-and-bound set cover
     over the 1-entries, branching on the uncovered entry contained in the
-    fewest rectangles and pruning with a greedy isolation-set lower bound
-    seeded by fooling_lower_bound.  The witness is a tuple of rectangles
-    (row indices, col indices), 1-based.  Incomplete runs (rectangle cap or
-    node budget) report the best cover found as ``optimum`` and the proven
-    lower bound in ``lower_bound``.
+    fewest rectangles and pruning with a greedy isolation-set lower bound.
+    Entry (i, j), 0-based, is bit i * n_cols + j of every entry set: the
+    row masks of m laid end to end, so scans run in row-major order and the
+    bound on all ones is the same greedy as fooling_lower_bound.  The
+    witness is a tuple of rectangles (row indices, col indices), 1-based.
+    Incomplete runs (rectangle cap or node budget) report the best cover
+    found as ``optimum`` and that root bound in ``lower_bound``.
     """
     budget = budget or RankBudget()
     total_ones = m.count_ones()
@@ -413,36 +417,29 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         return SearchResult(0, (), 0, True, 0)
 
     rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
-    entries = m.ones()
-    index_of = {e: x for x, e in enumerate(entries)}
-    ne = len(entries)
-    full = (1 << ne) - 1
+    w = m.n_cols
+    grid = m.n_rows * w
+    full = sum(row << i * w for i, row in enumerate(m.rows))
 
     rect_masks = []
     for rmask, cmask in rects:
         mask = 0
-        cols = [j + 1 for j in iter_bits(cmask)]
         for i in iter_bits(rmask):
-            for j in cols:
-                mask |= 1 << index_of[(i + 1, j)]
+            mask |= cmask << i * w
         rect_masks.append(mask)
-    entry_rects: list[list[int]] = [[] for _ in range(ne)]
+    entry_rects: list[list[int]] = [[] for _ in range(grid)]
     for ri, rm in enumerate(rect_masks):
         for x in iter_bits(rm):
             entry_rects[x].append(ri)
 
-    # pairwise entry compatibility for the isolation lower bound
-    compat = [0] * ne
-    for x1 in range(ne):
-        i1, j1 = entries[x1]
-        for x2 in range(x1 + 1, ne):
-            i2, j2 = entries[x2]
-            if i1 == i2 or j1 == j2:
-                continue
-            if m.entry(i1, j2) and m.entry(i2, j1):
-                continue
-            compat[x1] |= 1 << x2
-            compat[x2] |= 1 << x1
+    # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
+    # which also holds when they share a row or a column; spread[j] * row i
+    # places row i in the row block of every i2 in column j's support
+    spread = [sum(1 << i * w for i in iter_bits(col)) for col in m.transpose().rows]
+    compat = [0] * grid
+    for x in iter_bits(full):
+        i, j = divmod(x, w)
+        compat[x] = full & ~(spread[j] * m.rows[i])
 
     def isolation_bound(uncovered: int) -> int:
         count = 0
@@ -474,7 +471,6 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         if len(greedy) < len(best_cover):
             best_cover = [rects[ri] for ri in greedy]
 
-    root_lb = fooling_lower_bound(m)
     nodes = 0
     chosen: list[int] = []
 
@@ -503,6 +499,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         dfs(0)
     except _BudgetExhausted:
         search_complete = False
+    del dfs  # break the closure's reference to itself
 
     complete = enum_complete and search_complete
     optimum = len(best_cover)
@@ -510,7 +507,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         (Subset(m.n_rows, rmask).elements(), Subset(m.n_cols, cmask).elements())
         for rmask, cmask in best_cover
     )
-    lower = optimum if complete else root_lb
+    lower = optimum if complete else isolation_bound(full)
     return SearchResult(optimum, witness, nodes, complete, lower)
 
 

@@ -59,9 +59,8 @@ def family_from_json(text: str) -> FamilyPair:
 
 
 def matrix_to_text(m: BoolMatrix) -> str:
-    lines = [f"{m.n_rows} {m.n_cols}"]
-    lines.extend(m.row_string(i) for i in range(1, m.n_rows + 1))
-    return "\n".join(lines) + "\n"
+    rows = (m.row_string(i) for i in range(1, m.n_rows + 1))
+    return "\n".join([f"{m.n_rows} {m.n_cols}", *rows, ""])  # "" ends the text with a newline
 
 
 def matrix_from_text(text: str) -> BoolMatrix:

@@ -7,11 +7,13 @@ row ^ expected_row for identity and triangular, and for isolation first the
 missing diagonal entries, then the above-diagonal bits of row & transposed
 row.  Every violation is an (i, j, observed, expected) quadruple with
 1-based indices, listed in row-major order within each kind, so
-property-test shrinking stays informative.  Certificates are truncated at
-VIOLATION_CAP.
+property-test shrinking stays informative.  Violations are generated
+lazily, and a certificate stops drawing them at VIOLATION_CAP.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .core import BoolMatrix, FamilyPair, PatternCertificate, family_to_matrix, iter_bits
 
@@ -30,11 +32,13 @@ def verify_isolation(fp: FamilyPair) -> PatternCertificate:
 def verify_matrix_isolation(m: BoolMatrix) -> PatternCertificate:
     """Check that the main diagonal of a square matrix is an isolation set."""
     _require_square(m)
-    violations = [(i + 1, i + 1, 0, 1) for i, row in enumerate(m.rows) if not row >> i & 1]
-    for i, (row, col) in enumerate(zip(m.rows, m.transpose().rows)):
-        for j in iter_bits(row & col & ~((2 << i) - 1)):
-            violations.append((i + 1, j + 1, 1, 0))
-    return PatternCertificate.from_violations("isolation", violations)
+    diagonal = ((i + 1, i + 1, 0, 1) for i, row in enumerate(m.rows) if not row >> i & 1)
+    pairs = (
+        (i + 1, j + 1, 1, 0)
+        for i, (row, col) in enumerate(zip(m.rows, m.transpose().rows))
+        for j in iter_bits(row & col & ~((2 << i) - 1))
+    )
+    return PatternCertificate.from_violations("isolation", chain(diagonal, pairs))
 
 
 def verify_identity(fp: FamilyPair) -> PatternCertificate:
@@ -59,11 +63,12 @@ def verify_matrix_triangular(m: BoolMatrix) -> PatternCertificate:
 
 def _verify_rows(m: BoolMatrix, pattern: str, expected_row) -> PatternCertificate:
     _require_square(m)
-    violations = []
-    for i, row in enumerate(m.rows):
-        expected = expected_row(i)
-        for j in iter_bits(row ^ expected):
-            violations.append((i + 1, j + 1, row >> j & 1, expected >> j & 1))
+    # j is a bit where row differs from the expected row, so expected is its flip
+    violations = (
+        (i + 1, j + 1, row >> j & 1, (row >> j & 1) ^ 1)
+        for i, row in enumerate(m.rows)
+        for j in iter_bits(row ^ expected_row(i))
+    )
     return PatternCertificate.from_violations(pattern, violations)
 
 

@@ -1,6 +1,8 @@
 """Brute-force oracles: clique searches, triangular search, Boolean rank."""
 
+import gc
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,8 @@ from isoset import (
     verify_matrix_isolation,
     verify_triangular,
 )
+
+from conftest import naive_boolean_rank
 
 
 class TestCompatGraph:
@@ -224,6 +228,10 @@ class TestMaxTriangular:
         assert max_triangular_bruteforce(2, 2, 7) == max_triangular_bruteforce(2, 2, 7)
 
 
+def j_minus_i(n: int) -> BoolMatrix:
+    return BoolMatrix.from_rows([[int(i != j) for j in range(n)] for i in range(n)])
+
+
 def cover_covers_exactly(m: BoolMatrix, cover) -> bool:
     """Independent check: rectangles are all-ones and their union is the ones of m."""
     covered = set()
@@ -293,6 +301,22 @@ class TestBooleanRank:
         monkeypatch.setenv("ISOSET_MAX_DIM", "5")
         with pytest.raises(ResourceLimitError):
             boolean_rank_exact(BoolMatrix.identity(6))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complement_of_identity(self, n):
+        # de Caen, Gregory & Pullman (1981): rank(J_n - I_n) = min{r : C(r, r // 2) >= n}
+        m = j_minus_i(n)
+        result = boolean_rank_exact(m)
+        assert result.complete
+        assert result.optimum == min(r for r in range(1, n + 1) if comb(r, r // 2) >= n)
+        assert cover_covers_exactly(m, result.witness)
+
+    def test_incomplete_lower_bound_is_fooling_bound(self):
+        m = j_minus_i(8)
+        result = boolean_rank_exact(m, RankBudget(max_nodes=1000))
+        assert not result.complete
+        assert result.lower_bound == fooling_lower_bound(m)
+        assert result.lower_bound <= 5 <= result.optimum
 
     def test_budget_exhaustion_interval(self):
         m = build_A(4, 2)
@@ -366,6 +390,7 @@ class TestFoolingLowerBound:
         nonzero_cols = sum(1 for mask in m.transpose().rows if mask)
         assert fooling_lower_bound(m) <= result.optimum <= min(nonzero_rows, nonzero_cols)
         assert cover_covers_exactly(m, result.witness)
+        assert result.optimum == naive_boolean_rank(rows)
 
 
 class TestBudget:
@@ -374,3 +399,22 @@ class TestBudget:
             RankBudget(max_nodes=0)
         with pytest.raises(ValueError):
             RankBudget(max_bicliques=-1)
+
+
+class TestNoReferenceCycles:
+    def test_searches_leave_no_cyclic_garbage(self):
+        # a recursive closure that outlives its search keeps everything it
+        # captured alive until the next cyclic collection
+        calls = [
+            lambda: boolean_rank_exact(build_A(5, 2)),
+            lambda: max_isolation_bruteforce(6, 3),
+            lambda: max_triangular_bruteforce(2, 2, 4),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,6 +1,8 @@
 """Pattern certificates and the identity-decomposition checker."""
 
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,20 @@ class TestViolationCap:
         cert = verify_isolation(family(ones, ones, 1))
         assert not cert.ok
         assert len(cert.violations) == VIOLATION_CAP
+
+    def test_violations_past_the_cap_are_never_built(self):
+        n = 600  # n * (n - 1) = 359,400 off-diagonal violations
+        m = BoolMatrix.all_ones(n, n)
+        tracemalloc.start()
+        try:
+            cert = verify_matrix_identity(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = ((i, j, 1, 0) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+        assert not cert.ok
+        assert cert.violations == tuple(islice(expected, VIOLATION_CAP))
+        assert peak < 4 * 2**20
 
 
 class TestIdentityDecomposition:
