@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .core import (
@@ -403,9 +403,9 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     Enumerates maximal rectangles, then runs branch-and-bound set cover
     over the 1-entries, branching on the uncovered entry contained in the
     fewest rectangles and pruning with a greedy isolation-set lower bound.
-    Entry (i, j), 0-based, is bit i * n_cols + j of every entry set: the
-    row masks of m laid end to end, so scans run in row-major order and the
-    bound on all ones is the same greedy as fooling_lower_bound.  The
+    Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
+    cells of m are ones, else bit k for the k-th one; both run row-major, so
+    results agree and the root bound is fooling_lower_bound's greedy.  The
     witness is a tuple of rectangles (row indices, col indices), 1-based.
     Incomplete runs (rectangle cap or node budget) report the best cover
     found as ``optimum`` and that root bound in ``lower_bound``.
@@ -417,29 +417,32 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         return SearchResult(0, (), 0, True, 0)
 
     rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
+    # the entry set of the ones of row i in cols, a subset of row i
     w = m.n_cols
-    grid = m.n_rows * w
-    full = sum(row << i * w for i, row in enumerate(m.rows))
+    dense = m.n_rows * w <= 2 * total_ones
+    starts = list(accumulate((row.bit_count() for row in m.rows), initial=0))
 
-    rect_masks = []
-    for rmask, cmask in rects:
-        mask = 0
-        for i in iter_bits(rmask):
-            mask |= cmask << i * w
-        rect_masks.append(mask)
-    entry_rects: list[list[int]] = [[] for _ in range(grid)]
+    def place(i: int, cols: int) -> int:
+        if dense:
+            return cols << i * w
+        before = ((m.rows[i] & (1 << j) - 1).bit_count() for j in iter_bits(cols))
+        return sum(1 << starts[i] + b for b in before)
+
+    full = sum(place(i, row) for i, row in enumerate(m.rows))
+    rect_masks = [sum(place(i, cmask) for i in iter_bits(rmask)) for rmask, cmask in rects]
+    entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
     for ri, rm in enumerate(rect_masks):
         for x in iter_bits(rm):
             entry_rects[x].append(ri)
 
     # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
-    # which also holds when they share a row or a column; spread[j] * row i
-    # places row i in the row block of every i2 in column j's support
-    spread = [sum(1 << i * w for i in iter_bits(col)) for col in m.transpose().rows]
-    compat = [0] * grid
-    for x in iter_bits(full):
-        i, j = divmod(x, w)
-        compat[x] = full & ~(spread[j] * m.rows[i])
+    # which also holds when they share a row or a column
+    cols = m.transpose().rows
+    compat = [0] * full.bit_length()
+    for i, row in enumerate(m.rows):
+        for j in iter_bits(row):
+            clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
+            compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
 
     def isolation_bound(uncovered: int) -> int:
         count = 0

@@ -59,8 +59,9 @@ def family_from_json(text: str) -> FamilyPair:
 
 
 def matrix_to_text(m: BoolMatrix) -> str:
-    rows = (m.row_string(i) for i in range(1, m.n_rows + 1))
-    return "\n".join([f"{m.n_rows} {m.n_cols}", *rows, ""])  # "" ends the text with a newline
+    lines = [f"{m.n_rows} {m.n_cols}"]
+    lines.extend(m.row_string(i) for i in range(1, m.n_rows + 1))
+    return "\n".join(lines) + "\n"
 
 
 def matrix_from_text(text: str) -> BoolMatrix:

@@ -1,6 +1,7 @@
 """Brute-force oracles: clique searches, triangular search, Boolean rank."""
 
 import gc
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -297,6 +298,19 @@ class TestBooleanRank:
             result = boolean_rank_exact(m)
             assert result.complete and result.optimum == m.n_rows
 
+    def test_sparse_matrix_memory_follows_its_ones(self):
+        # 25 ones spread over a 1000 x 1000 grid: entry sets must not span
+        # every cell (that alone would take a million entry lists)
+        m = BoolMatrix(1000, 1000, tuple(1 << i if i % 40 == 0 else 0 for i in range(1000)))
+        tracemalloc.start()
+        try:
+            result = boolean_rank_exact(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.complete and result.optimum == 25
+        assert peak < 1 << 20
+
     def test_ones_cap(self, monkeypatch):
         monkeypatch.setenv("ISOSET_MAX_DIM", "5")
         with pytest.raises(ResourceLimitError):
@@ -376,10 +390,12 @@ class TestFoolingLowerBound:
         assert fooling_lower_bound(BoolMatrix.zeros(2, 5)) == 0
 
     @given(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=4, max_size=4),
-            min_size=4,
-            max_size=4,
+        st.integers(2, 5).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=2,
+                max_size=5,
+            )
         )
     )
     def test_rank_bracketed_on_random_matrices(self, rows):
