@@ -9,45 +9,18 @@ families.  All constructions are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
+from itertools import count, islice
+from math import comb
 
 from .core import (
     BoolMatrix,
     FamilyPair,
     RangeError,
-    ResourceLimitError,
     Subset,
+    check_cap,
 )
-
-DEFAULT_UNIVERSE_CAP = 1 << 20
-
-
-class ElementAllocator:
-    """Hands out fresh 1-based universe elements, strictly increasing from 1.
-
-    Single-owner mutable state: constructions that need supports disjoint
-    from everything built so far draw from one shared allocator.
-    """
-
-    def __init__(self, cap: int = DEFAULT_UNIVERSE_CAP) -> None:
-        if cap < 1:
-            raise ValueError(f"cap must be positive, got {cap}")
-        self.cap = cap
-        self.issued = 0
-
-    @property
-    def next_free(self) -> int:
-        return self.issued + 1
-
-    def fresh(self) -> int:
-        if self.issued >= self.cap:
-            raise ResourceLimitError(f"allocator exhausted its universe cap {self.cap}")
-        self.issued += 1
-        return self.issued
-
-    def fresh_block(self, n: int) -> list[int]:
-        return [self.fresh() for _ in range(n)]
-
 
 def identity_family(k: int, t: int) -> FamilyPair:
     """Family of size s = k-2t+2 whose realized matrix is the identity I_s.
@@ -138,10 +111,10 @@ def isolation_small_k(k: int, t: int) -> FamilyPair:
     k_inner = 3 * r + 4  # == 3*t_inner - 2
     inner = isolation_3t2(k_inner, t_inner)
     pad = t - r - 2
-    row_pad = tuple(range(k_inner + 1, k_inner + pad + 1))
-    col_pad = tuple(range(k_inner + pad + 1, k + 1))
-    rows = [Subset.of(s.elements() + row_pad, k) for s in inner.rows]
-    cols = [Subset.of(s.elements() + col_pad, k) for s in inner.cols]
+    row_pad = ((1 << pad) - 1) << k_inner  # elements k'+1..k'+pad
+    col_pad = row_pad << pad  # elements k'+pad+1..k, as k - k' = 2 * pad
+    rows = [Subset(k, s.bits | row_pad) for s in inner.rows]
+    cols = [Subset(k, s.bits | col_pad) for s in inner.cols]
     meta = {"construction": "isolation_small_k", "k": k, "t": t, "r": r}
     return FamilyPair(k, t, t, tuple(rows), tuple(cols), meta)
 
@@ -211,8 +184,8 @@ def isolation_maximal(k: int, t: int) -> FamilyPair:
     if k < kp:
         raise RangeError(f"need k >= 4t-3 = {kp}, got k={k}")
     inner = isolation_big_k(kp, t)
-    rows = [Subset.of(s.elements(), k) for s in inner.rows]
-    cols = [Subset.of(s.elements(), k) for s in inner.cols]
+    rows = [Subset(k, s.bits) for s in inner.rows]
+    cols = [Subset(k, s.bits) for s in inner.cols]
     row_tail = [2 * t - 1] + list(range(2 * t, 3 * t - 2))
     col_tail = list(range(1, t))
     for i in range(1, k - kp + 1):
@@ -277,7 +250,7 @@ def isolation_construct(k: int, t: int) -> FamilyPair:
     return replace(fp, meta=meta)
 
 
-def triangular_family(a: int, b: int, alloc: ElementAllocator | None = None) -> FamilyPair:
+def triangular_family(a: int, b: int) -> FamilyPair:
     """Triangular family of size (a+b choose a) - 1: ones on and below the diagonal.
 
     Rows have cardinality a, columns cardinality b.  Built recursively:
@@ -285,18 +258,18 @@ def triangular_family(a: int, b: int, alloc: ElementAllocator | None = None) -> 
     glued with one shared fresh element x (added to the first block's
     columns and the second block's rows) plus one bridging row {x}+S and
     column {x}+T of fresh elements, giving size f(a,b-1) + f(a-1,b) + 1.
-    The (a, b-1) block is always expanded first, so output is reproducible.
-
-    When no allocator is passed, the result is compacted to the minimal
-    universe and meta records the element count the recursion consumed.
+    The (a, b-1) block is always expanded first, and fresh elements are
+    numbered 1, 2, ... in the order they are taken, so output is
+    reproducible and the recursion uses exactly the universe {1..u};
+    meta['universe_allocated'] records u.  The family size is checked
+    against the dimension cap before anything is built.
     """
     if a < 1 or b < 1:
         raise RangeError(f"need a >= 1 and b >= 1, got a={a}, b={b}")
-    own_alloc = alloc is None
-    if alloc is None:
-        alloc = ElementAllocator()
-    rows, cols = _triangular_blocks(a, b, alloc)
-    universe = alloc.issued
+    check_cap(comb(a + b, a) - 1, f"pairs of triangular({a},{b})")
+    fresh = count(1)
+    rows, cols = _triangular_blocks(a, b, fresh)
+    universe = next(fresh) - 1
     meta = {
         "construction": "triangular",
         "a": a,
@@ -304,29 +277,26 @@ def triangular_family(a: int, b: int, alloc: ElementAllocator | None = None) -> 
         "size": len(rows),
         "universe_allocated": universe,
     }
-    fp = FamilyPair.from_elements(rows, cols, universe, meta)
-    if own_alloc:
-        fp = compact_universe(fp)
-    return fp
+    return FamilyPair.from_elements(rows, cols, universe, meta)
 
 
-def _triangular_blocks(a: int, b: int, alloc: ElementAllocator) -> tuple[list, list]:
+def _triangular_blocks(a: int, b: int, fresh: Iterator[int]) -> tuple[list, list]:
     """Recursive core; returns (row element lists, col element lists)."""
     if b == 1:
-        e = alloc.fresh_block(2 * a - 1)
+        e = list(islice(fresh, 2 * a - 1))
         rows = [[e[x] for x in range(i)] + [e[x] for x in range(a, 2 * a - i)] for i in range(1, a + 1)]
         cols = [[e[j]] for j in range(a)]
         return rows, cols
     if a == 1:
-        e = alloc.fresh_block(2 * b - 1)
+        e = list(islice(fresh, 2 * b - 1))
         rows = [[e[i]] for i in range(b)]
         cols = [[e[x] for x in range(j, b)] + [e[x] for x in range(b, b + j)] for j in range(b)]
         return rows, cols
-    r1, c1 = _triangular_blocks(a, b - 1, alloc)
-    r2, c2 = _triangular_blocks(a - 1, b, alloc)
-    x = alloc.fresh()
-    bridge_row = [x] + alloc.fresh_block(a - 1)
-    bridge_col = [x] + alloc.fresh_block(b - 1)
+    r1, c1 = _triangular_blocks(a, b - 1, fresh)
+    r2, c2 = _triangular_blocks(a - 1, b, fresh)
+    x = next(fresh)
+    bridge_row = [x] + list(islice(fresh, a - 1))
+    bridge_col = [x] + list(islice(fresh, b - 1))
     rows = r1 + [bridge_row] + [row + [x] for row in r2]
     cols = [col + [x] for col in c1] + [bridge_col] + c2
     return rows, cols

@@ -110,35 +110,24 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
     return CompatGraph(vertices, tuple(_compatible(pairs, pairs, identity)))
 
 
-def _max_clique(
-    adj_in: Sequence[int], max_nodes: int, floor: int
-) -> tuple[list[int], int, bool]:
+def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[int], int, bool]:
     """Branch-and-bound maximum clique with greedy-coloring bounds.
 
     Only cliques with more than ``floor`` vertices are sought: a caller that
     already holds a clique of that size passes it as the floor, and every
-    branch that cannot beat it is pruned.  Vertices are relabeled
-    internally by non-increasing degree (ties by index) and a greedy clique
-    seeds the incumbent when it beats the floor.  At every node the
-    candidates are sorted by degree within the candidate set, colored
-    greedily in that order, and branched in reverse color order; a vertex
-    of color c cannot extend the clique by more than c.  All orderings are
-    index-tiebroken, so node counts are reproducible.  Returns (best clique
-    above the floor in original vertex ids, or [] if none was found, nodes,
-    complete).
+    branch that cannot beat it is pruned.  The adjacency arrives in search
+    order: the caller numbers vertices by non-increasing degree, ties by
+    pair order, and a greedy clique taken in that order seeds the incumbent
+    when it beats the floor.  At every node the candidates are sorted by
+    degree within the candidate set, colored greedily in that order, and
+    branched in reverse color order; a vertex of color c cannot extend the
+    clique by more than c.  All orderings are index-tiebroken, so node
+    counts are reproducible.  Returns (best clique above the floor as
+    sorted vertex ids, or [] if none was found, nodes, complete).
     """
-    n = len(adj_in)
+    n = len(adj)
     if n == 0:
         return [], 0, True
-    degree = [a.bit_count() for a in adj_in]
-    relabel = sorted(range(n), key=lambda v: (-degree[v], v))
-    pos = [0] * n
-    for i, v in enumerate(relabel):
-        pos[v] = i
-    adj = [0] * n
-    for u in range(n):
-        for v in iter_bits(adj_in[u]):
-            adj[pos[u]] |= 1 << pos[v]
 
     cand = (1 << n) - 1
     greedy: list[int] = []
@@ -193,7 +182,7 @@ def _max_clique(
     except _BudgetExhausted:
         complete = False
     del expand  # break the closure's reference to itself
-    return sorted(relabel[v] for v in best), nodes, complete
+    return sorted(best), nodes, complete
 
 
 def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> SearchResult:
@@ -217,6 +206,8 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
     for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
         sub = [pairs[i] for i in iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
+        degree = [a.bit_count() for a in _compatible(sub, sub, identity)]
+        sub = [sub[v] for v in sorted(range(len(sub)), key=lambda v: -degree[v])]  # stable
         clique, used, complete = _max_clique(
             _compatible(sub, sub, identity), max_nodes - nodes, len(best) - 1
         )

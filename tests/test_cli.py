@@ -67,8 +67,12 @@ class TestConstruct:
         assert used == set(range(1, fp.universe + 1))
 
     def test_range_error_exit_2(self, capsys):
-        code, _ = run(capsys, "construct", "identity", "--k", "3", "--t", "2")
-        assert code == 2
+        for argv in [
+            ("construct", "identity", "--k", "3", "--t", "2"),
+            ("construct", "triangular", "--a", "10", "--b", "10"),  # over the size cap
+        ]:
+            code, _ = run(capsys, *argv)
+            assert code == 2, argv
 
     def test_missing_params_exit_2(self, capsys):
         code, _ = run(capsys, "construct", "identity", "--k", "6")

@@ -6,7 +6,6 @@ import pytest
 
 from isoset import (
     BoolMatrix,
-    ElementAllocator,
     RangeError,
     ResourceLimitError,
     circulant_isolation,
@@ -44,25 +43,6 @@ def assert_isolation_naive(fp):
         for j in range(n):
             if i != j and set(rows[i]) & set(cols[j]) and set(rows[j]) & set(cols[i]):
                 raise AssertionError(f"2x2 all-ones block at ({i + 1}, {j + 1})")
-
-
-class TestElementAllocator:
-    def test_strictly_increasing_from_one(self):
-        alloc = ElementAllocator()
-        got = [alloc.fresh() for _ in range(5)]
-        assert got == [1, 2, 3, 4, 5]
-        assert alloc.issued == 5 and alloc.next_free == 6
-
-    def test_block(self):
-        alloc = ElementAllocator()
-        assert alloc.fresh_block(3) == [1, 2, 3]
-        assert alloc.fresh() == 4
-
-    def test_cap(self):
-        alloc = ElementAllocator(cap=2)
-        alloc.fresh_block(2)
-        with pytest.raises(ResourceLimitError):
-            alloc.fresh()
 
 
 class TestIdentityFamily:
@@ -335,6 +315,10 @@ class TestTriangular:
         assert fp.size == comb(a + b, a) - 1
         assert fp.row_size == a and fp.col_size == b
         assert verify_triangular(fp).ok
+        # fresh elements are numbered consecutively: exactly 1..universe are used
+        used = {e for s in fp.rows + fp.cols for e in s.elements()}
+        assert used == set(range(1, fp.universe + 1))
+        assert fp.meta["universe_allocated"] == fp.universe
 
     @pytest.mark.parametrize("a", [1, 2, 4])
     def test_base_sizes(self, a):
@@ -346,20 +330,20 @@ class TestTriangular:
         assert fp.meta["universe_allocated"] == fp.universe  # recursion wastes nothing
 
     def test_large_instance_universe(self):
-        # the recursion consumes hundreds of fresh elements but stays well
-        # under the allocator default cap
+        # the recursion consumes hundreds of fresh elements
         fp = triangular_family(5, 5)
         assert fp.size == comb(10, 5) - 1 == 251
         assert fp.universe < 1024
         assert verify_triangular(fp).ok
 
-    def test_shared_allocator_disjoint_supports(self):
-        alloc = ElementAllocator()
-        first = triangular_family(2, 1, alloc)
-        second = triangular_family(2, 1, alloc)
-        first_elems = {e for s in first.rows + first.cols for e in s.elements()}
-        second_elems = {e for s in second.rows + second.cols for e in s.elements()}
-        assert not first_elems & second_elems
+    def test_size_cap(self, monkeypatch):
+        # 92,377 pairs exceed the default cap of 2**16 before anything is built
+        with pytest.raises(ResourceLimitError):
+            triangular_family(9, 10)
+        monkeypatch.setenv("ISOSET_MAX_DIM", "100")
+        assert triangular_family(4, 4).size == 69
+        with pytest.raises(ResourceLimitError):
+            triangular_family(5, 4)  # 125 pairs
 
     def test_deterministic(self):
         assert family_to_json(triangular_family(3, 2)) == family_to_json(triangular_family(3, 2))

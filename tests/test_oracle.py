@@ -110,33 +110,37 @@ class TestMaxIsolation:
         result = max_isolation_bruteforce(7, 3, RankBudget(max_nodes=200_000_000))
         assert result.complete
         assert result.optimum == 5
+        assert result.nodes_explored == 76
         assert verify_isolation(result.witness).ok
 
     def test_k8_t3_long(self):
         # k = 8 is the one mid-range value at t = 3 between the 2r+3 regime
         # boundaries; exhaustive search pins the maximum at exactly 2r+3 = 7
-        # (complete at 7,185 nodes over the orbit representatives).
+        # over the orbit representatives.
         result = max_isolation_bruteforce(8, 3, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 7
+        assert result.nodes_explored == 7_185
         assert verify_isolation(result.witness).ok
 
     @pytest.mark.slow
     def test_k9_t3_long(self):
         # k = 9 = 4t - 3 is where the 2r+3 and k regimes meet; the optimum
-        # is k = 9 (complete at 1,143,888 nodes, about 4 minutes)
+        # is k = 9 (about 4 minutes)
         result = max_isolation_bruteforce(9, 3, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 9
+        assert result.nodes_explored == 1_143_888
         assert verify_isolation(result.witness).ok
 
     @pytest.mark.slow
     def test_k10_t4_long(self):
         # middle regime at t = 4: the 2r+3 construction (size 7) is optimal
-        # (complete at 114,866 nodes, about 30 s)
+        # (about 30 s)
         result = max_isolation_bruteforce(10, 4, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 7
+        assert result.nodes_explored == 114_866
         assert verify_isolation(result.witness).ok
 
     @pytest.mark.parametrize("search", [max_isolation_bruteforce, max_identity_bruteforce])
