@@ -1,10 +1,15 @@
-"""Walkthrough: Boolean rank, rectangle covers, and the fooling-set bound.
+"""Walkthrough: Boolean rank, rectangle covers, and its two lower bounds.
 
 The Boolean rank of a 0/1 matrix is the least number of all-ones rectangles
 (row set x column set) covering its ones; any isolation set gives a lower
-bound since no rectangle can contain two of its entries.  The exact solver
-enumerates maximal rectangles and runs branch-and-bound set cover.
+bound since no rectangle can contain two of its entries.  So does the
+antichain bound: distinct rows of equal weight need pairwise incomparable
+sets of rectangles.  The exact solver certifies the antichain bound with a
+row-set factor search, or runs branch-and-bound set cover over maximal
+rectangles where the isolation bound is the stronger.
 """
+
+from math import comb
 
 from isoset import (
     BoolMatrix,
@@ -33,6 +38,20 @@ print()
 f = circulant_isolation(5, 4)
 print("F(5,4): fooling lower bound =", fooling_lower_bound(f),
       " exact rank =", boolean_rank_exact(f).optimum)
+print()
+
+# ---------------------------------------------------------------------------
+# On J_8 - I_8 (all ones but the diagonal) the greedy isolation set stops at
+# two entries, far below the rank.  Its 8 rows are distinct with weight 7,
+# so their rectangle sets form an antichain, and Sperner's theorem needs
+# C(r, r // 2) >= 8, i.e. r >= 5.  The factor search finds 5 rectangles at
+# once (de Caen, Gregory & Pullman 1981 proved this rank in closed form).
+n = 8
+j = BoolMatrix(n, n, tuple(((1 << n) - 1) & ~(1 << i) for i in range(n)))
+antichain = min(r for r in range(n + 1) if comb(r, r // 2) >= n)
+result = boolean_rank_exact(j)
+print(f"J_{n} - I_{n}: fooling bound {fooling_lower_bound(j)}, antichain bound {antichain},"
+      f" rank {result.optimum} (complete={result.complete}, {result.nodes_explored} nodes)")
 print()
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ identical inputs yield identical results including node counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
@@ -388,18 +389,208 @@ def _maximal_bicliques(m: BoolMatrix, cap: int) -> tuple[list[tuple[int, int]], 
     return sorted(rects.items()), complete
 
 
+def _antichain_bound(masks: Sequence[int]) -> int:
+    """Least r with C(r, r // 2) at least the most distinct nonzero masks of one weight.
+
+    In a factorization through [r], X_i inside X_i' forces row i inside row
+    i'.  Distinct rows of equal weight are pairwise incomparable, so their
+    sets form an antichain of subsets of [r], which by Sperner's theorem has
+    at most C(r, r // 2) members.  The columns bound the rank the same way.
+    """
+    widths = Counter(mask.bit_count() for mask in set(masks) if mask)
+    most = max(widths.values(), default=0)
+    r = 0
+    while comb(r, r // 2) < most:
+        r += 1
+    return r
+
+
+def _down_set(u: int) -> int:
+    """The subsets of u as one mask: bit s is set exactly when s is inside u."""
+    mask = 1
+    for b in iter_bits(u):
+        mask |= mask << (1 << b)
+    return mask
+
+
+def _factor_search(
+    m: BoolMatrix, r: int, max_nodes: int
+) -> tuple[list[tuple[int, int]] | None, int, bool]:
+    """A cover of m by r rectangles, searched as row sets X_i of inner indices [r].
+
+    rank(m) <= r iff rows and columns get subsets of [r] whose intersection
+    pattern is m.  Given the row sets, column j does best with [r] minus
+    U_j, the union of X_i over the rows with a 0 in column j, so a one
+    (i, j) is realized iff X_i is not inside U_j.  Distinct nonzero rows get
+    their sets in row order; a zero row gets the empty set and a repeated
+    row its first copy's set.  The unions only grow, so every partial
+    assignment is checked.  A node gathers its forbidden candidates in one
+    mask over the 2^r subsets: the down-set of U_j for each one (i, j) of
+    the row, and for each zero (i, j) the up-set of X_i' - U_j for every
+    placed row i' with a one in column j, which adding X_i to U_j would
+    swallow.  Unused inner indices are interchangeable, so a set takes new
+    ones only as the next unused in order.  Candidates are tried middle
+    layer first: ascending |2|X| - r|, then by value.
+
+    Returns (rectangle l = (rows whose set holds l, their common columns)
+    for l = 0..r-1, or None; nodes; complete).  None with complete=True
+    refutes rank <= r.
+    """
+    rows = list(dict.fromkeys(mask for mask in m.rows if mask))
+    live = 0  # the columns holding a one
+    col_rows = [0] * m.n_cols  # col_rows[j]: the distinct rows with a one in column j
+    for p, row in enumerate(rows):
+        live |= row
+        for j in iter_bits(row):
+            col_rows[j] |= 1 << p
+    inner = (1 << r) - 1
+    layers = [1]  # layers[p]: the p-subsets of the inner indices added so far
+    for b in range(r):
+        layers = [low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)]
+    groups = [layers[p] | layers[r - p] for p in range(r // 2, -1, -1)]
+    # fresh[u]: the sets whose indices >= u are u, u+1, ..., u+f-1 for some f
+    # (the sets for different f are disjoint, so the sum is their union)
+    fresh = [
+        sum(((1 << (1 << u)) - 1) << (((1 << f) - 1) << u) for f in range(r - u + 1))
+        for u in range(r + 1)
+    ]
+
+    xs: list[int] = []
+    unions = [0] * m.n_cols
+    nodes = 0
+
+    def assign(used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise _BudgetExhausted
+        i = len(xs)
+        if i == len(rows):
+            return True
+        row = rows[i]
+        zeros = list(iter_bits(live & ~row))
+        forbidden = 0
+        for u in {unions[j] for j in iter_bits(row)}:
+            forbidden |= _down_set(u)
+        placed = (1 << i) - 1
+        for d in {xs[p] & ~unions[j] for j in zeros for p in iter_bits(col_rows[j] & placed)}:
+            forbidden |= _down_set(inner & ~d) << d
+        allowed = fresh[used] & ~forbidden
+        before = [unions[j] for j in zeros]
+        for group in groups:
+            for s in iter_bits(allowed & group):
+                xs.append(s)
+                for j in zeros:
+                    unions[j] |= s
+                if assign(max(used, s.bit_length())):
+                    return True
+                xs.pop()
+                for j, u in zip(zeros, before):
+                    unions[j] = u
+        return False
+
+    found, complete = False, True
+    try:
+        found = assign(0)
+    except _BudgetExhausted:
+        complete = False
+    del assign  # break the closure's reference to itself
+    if not found:
+        return None, nodes, complete
+    x_of = dict(zip(rows, xs))
+    cover = []
+    for index in range(r):
+        rmask, cmask = 0, live
+        for i, row in enumerate(m.rows):
+            if x_of.get(row, 0) >> index & 1:
+                rmask |= 1 << i
+                cmask &= row
+        cover.append((rmask, cmask))
+    return cover, nodes, True
+
+
+def _cover_search(
+    rect_masks: list[int], full: int, compat: list[int], best: int, floor: int, max_nodes: int
+) -> tuple[list[int] | None, int, bool]:
+    """Branch-and-bound set cover of the entry set ``full`` by ``rect_masks``.
+
+    Seeks covers by fewer than ``best`` rectangles, branching on the
+    uncovered entry contained in the fewest rectangles and pruning with a
+    greedy isolation set of the uncovered entries (compat[x] holds the
+    entries that may join entry x in one).  A cover by ``floor`` rectangles,
+    a proven lower bound, ends the search.  Returns (the best cover found as
+    rectangle indices, or None; nodes; whether the search finished).
+    """
+    entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
+    for ri, rm in enumerate(rect_masks):
+        for x in iter_bits(rm):
+            entry_rects[x].append(ri)
+
+    def isolation_bound(uncovered: int) -> int:
+        count = 0
+        allowed = uncovered
+        while allowed:
+            low = allowed & -allowed
+            count += 1
+            allowed &= compat[low.bit_length() - 1]
+        return count
+
+    nodes = 0
+    chosen: list[int] = []
+    cover: list[int] | None = None
+
+    def dfs(covered: int) -> bool:
+        nonlocal nodes, best, cover
+        nodes += 1
+        if nodes > max_nodes:
+            raise _BudgetExhausted
+        if covered == full:
+            if len(chosen) < best:
+                best, cover = len(chosen), chosen.copy()
+            return best <= floor
+        uncovered = full & ~covered
+        if len(chosen) + isolation_bound(uncovered) >= best:
+            return False
+        branch = min(iter_bits(uncovered), key=lambda x: len(entry_rects[x]))
+        for ri in entry_rects[branch]:  # empty when no enumerated rectangle holds it
+            chosen.append(ri)
+            done = dfs(covered | rect_masks[ri])
+            chosen.pop()
+            if done:
+                return True
+        return False
+
+    finished = True
+    try:
+        dfs(0)
+    except _BudgetExhausted:
+        finished = False
+    del dfs  # break the closure's reference to itself
+    return cover, nodes, finished
+
+
 def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> SearchResult:
     """Exact minimum number of all-ones rectangles covering the ones of m.
 
-    Enumerates maximal rectangles, then runs branch-and-bound set cover
-    over the 1-entries, branching on the uncovered entry contained in the
-    fewest rectangles and pruning with a greedy isolation-set lower bound.
+    Brackets the rank first.  From above: one rectangle per nonzero row, or
+    a greedy cover by the maximal rectangles when they cover every one.
+    From below, lb: the larger of the greedy isolation set of
+    fooling_lower_bound and the antichain bound of the rows and of the
+    columns (the least r with C(r, r // 2) at least the most distinct
+    nonzero rows of one weight).  When the antichain bound is the larger
+    and below the cover, a row-set factor search runs once at r = lb: a
+    find certifies rank lb, a refutation raises lb by one.  A bracket still
+    open goes to branch-and-bound set cover over the 1-entries by the
+    maximal rectangles, branching on the uncovered entry contained in the
+    fewest rectangles, pruning with a greedy isolation-set bound, and
+    stopping at a cover of lb rectangles.  Both searches draw on one node
+    budget, and the set-cover tables are built only when that search runs.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
-    results agree and the root bound is fooling_lower_bound's greedy.  The
-    witness is a tuple of rectangles (row indices, col indices), 1-based.
-    Incomplete runs (rectangle cap or node budget) report the best cover
-    found as ``optimum`` and that root bound in ``lower_bound``.
+    results agree and the set cover's root bound is fooling_lower_bound's
+    greedy.  The witness is a tuple of rectangles (row indices, col
+    indices), 1-based.  Incomplete runs (rectangle cap or node budget)
+    report the best cover found as ``optimum`` and lb in ``lower_bound``.
     """
     budget = budget or RankBudget()
     total_ones = m.count_ones()
@@ -421,28 +612,6 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
 
     full = sum(place(i, row) for i, row in enumerate(m.rows))
     rect_masks = [sum(place(i, cmask) for i in iter_bits(rmask)) for rmask, cmask in rects]
-    entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
-    for ri, rm in enumerate(rect_masks):
-        for x in iter_bits(rm):
-            entry_rects[x].append(ri)
-
-    # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
-    # which also holds when they share a row or a column
-    cols = m.transpose().rows
-    compat = [0] * full.bit_length()
-    for i, row in enumerate(m.rows):
-        for j in iter_bits(row):
-            clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
-            compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
-
-    def isolation_bound(uncovered: int) -> int:
-        count = 0
-        allowed = uncovered
-        while allowed:
-            low = allowed & -allowed
-            count += 1
-            allowed &= compat[low.bit_length() - 1]
-        return count
 
     # incumbent: one rectangle per nonzero row is always a valid cover
     best_cover: list[tuple[int, int]] = [
@@ -465,44 +634,39 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         if len(greedy) < len(best_cover):
             best_cover = [rects[ri] for ri in greedy]
 
+    cols = m.transpose().rows
+    fooling = fooling_lower_bound(m)
+    lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(cols))
     nodes = 0
-    chosen: list[int] = []
+    if fooling < lower < len(best_cover):
+        found, nodes, refuted = _factor_search(m, lower, budget.max_nodes)
+        if found is not None:
+            best_cover = found
+        elif refuted:
+            lower += 1
+    complete = len(best_cover) == lower
+    if not complete and nodes < budget.max_nodes:
+        # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
+        # which also holds when they share a row or a column
+        compat = [0] * full.bit_length()
+        for i, row in enumerate(m.rows):
+            for j in iter_bits(row):
+                clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
+                compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
+        chosen, used, finished = _cover_search(
+            rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
+        )
+        nodes += used
+        if chosen is not None:
+            best_cover = [rects[ri] for ri in chosen]
+        complete = len(best_cover) == lower or (finished and enum_complete)
 
-    def dfs(covered: int) -> None:
-        nonlocal nodes, best_cover
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise _BudgetExhausted
-        if covered == full:
-            if len(chosen) < len(best_cover):
-                best_cover = [rects[ri] for ri in chosen]
-            return
-        uncovered = full & ~covered
-        if len(chosen) + isolation_bound(uncovered) >= len(best_cover):
-            return
-        branch = min(iter_bits(uncovered), key=lambda x: len(entry_rects[x]))
-        if not entry_rects[branch]:
-            return  # entry not covered by any enumerated rectangle
-        for ri in entry_rects[branch]:
-            chosen.append(ri)
-            dfs(covered | rect_masks[ri])
-            chosen.pop()
-
-    search_complete = True
-    try:
-        dfs(0)
-    except _BudgetExhausted:
-        search_complete = False
-    del dfs  # break the closure's reference to itself
-
-    complete = enum_complete and search_complete
     optimum = len(best_cover)
     witness = tuple(
         (Subset(m.n_rows, rmask).elements(), Subset(m.n_cols, cmask).elements())
         for rmask, cmask in best_cover
     )
-    lower = optimum if complete else isolation_bound(full)
-    return SearchResult(optimum, witness, nodes, complete, lower)
+    return SearchResult(optimum, witness, nodes, complete, optimum if complete else lower)
 
 
 def cover_to_factors(

@@ -202,6 +202,14 @@ class TestRank:
         assert code == 0
         assert out.splitlines()[0] == "rank 5"
 
+    def test_gen_A_6_3(self, capsys):
+        # certified by the antichain bound and the row-set factor search
+        code, out = run(capsys, "rank", "--gen-A", "6", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "rank 6"
+        assert sum(line.startswith("rect ") for line in lines) == 6
+
     def test_identity_adds_decomposition_certificate(self, capsys, tmp_path):
         path = tmp_path / "id4.txt"
         path.write_text("4 4\n1000\n0100\n0010\n0001\n")

@@ -32,6 +32,8 @@ from isoset import (
     verify_triangular,
 )
 
+from isoset.oracle import _antichain_bound, _factor_search
+
 from conftest import naive_boolean_rank
 
 
@@ -320,7 +322,7 @@ class TestBooleanRank:
         with pytest.raises(ResourceLimitError):
             boolean_rank_exact(BoolMatrix.identity(6))
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_complement_of_identity(self, n):
         # de Caen, Gregory & Pullman (1981): rank(J_n - I_n) = min{r : C(r, r // 2) >= n}
         m = j_minus_i(n)
@@ -329,12 +331,13 @@ class TestBooleanRank:
         assert result.optimum == min(r for r in range(1, n + 1) if comb(r, r // 2) >= n)
         assert cover_covers_exactly(m, result.witness)
 
-    def test_incomplete_lower_bound_is_fooling_bound(self):
-        m = j_minus_i(8)
+    def test_incomplete_lower_bound_is_root_bound(self):
+        # fooling 7 is above the antichain bound 5, so no factor search runs
+        m = circulant_isolation(6, 4, allow_small_q=True)
         result = boolean_rank_exact(m, RankBudget(max_nodes=1000))
         assert not result.complete
         assert result.lower_bound == fooling_lower_bound(m)
-        assert result.lower_bound <= 5 <= result.optimum
+        assert result.lower_bound <= 8 <= result.optimum
 
     def test_budget_exhaustion_interval(self):
         m = build_A(4, 2)
@@ -344,10 +347,10 @@ class TestBooleanRank:
         assert cover_covers_exactly(m, result.witness)
 
     def test_biclique_cap_interval(self):
-        m = build_A(4, 2)
+        m = circulant_isolation(6, 4, allow_small_q=True)
         result = boolean_rank_exact(m, RankBudget(max_bicliques=3))
         assert not result.complete
-        assert result.lower_bound <= 4
+        assert result.lower_bound <= 8
         assert cover_covers_exactly(m, result.witness)
 
     def test_deterministic(self):
@@ -360,6 +363,110 @@ class TestBooleanRank:
             x, y = cover_to_factors(result.witness, n, n)
             cert = verify_identity_decomposition(x, y)
             assert cert.ok, cert.notes
+
+
+class TestAntichainBound:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_complement_of_identity_is_de_caen(self, n):
+        # de Caen, Gregory & Pullman (1981): rank(J_n - I_n) = min{r : C(r, r // 2) >= n}
+        assert _antichain_bound(j_minus_i(n).rows) == min(
+            r for r in range(1, n + 1) if comb(r, r // 2) >= n
+        )
+
+    @pytest.mark.parametrize("n, nodes", [(8, 9), (9, 10)])
+    def test_complement_of_identity_node_counts(self, n, nodes):
+        # the greedy fooling set has 2 entries; the antichain bound 5 is the rank
+        m = j_minus_i(n)
+        assert fooling_lower_bound(m) == 2
+        result = boolean_rank_exact(m, RankBudget(max_nodes=1000))
+        assert result.complete and result.optimum == result.lower_bound == 5
+        assert result.nodes_explored == nodes
+        assert cover_covers_exactly(m, result.witness)
+
+
+class TestRankOfA:
+    # the C(k, t) rows are distinct and of one weight, and C(k, t) > C(k - 1, (k - 1) // 2)
+    # here, so the antichain bound is k; the k element stars cover A(k, t)
+    @pytest.mark.parametrize("k, t, nodes", [(6, 3, 21), (7, 3, 36), (8, 4, 71)])
+    def test_rank_is_k(self, k, t, nodes):
+        m = build_A(k, t)
+        result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == k
+        assert result.nodes_explored == nodes
+        assert cover_covers_exactly(m, result.witness)
+
+
+class TestFactorSearch:
+    """Inputs whose antichain bound is above the greedy fooling bound."""
+
+    @staticmethod
+    def grid(n):
+        return [[int(i != j) for j in range(n)] for i in range(n)]
+
+    def test_zero_row_and_zero_column(self):
+        grid = [row[:2] + [0] + row[2:] for row in self.grid(8)]
+        grid.insert(3, [0] * 9)
+        m = BoolMatrix.from_rows(grid)
+        result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == 5
+        assert result.nodes_explored == 9
+        assert cover_covers_exactly(m, result.witness)
+
+    def test_duplicate_rows(self):
+        grid = self.grid(8)
+        m = BoolMatrix.from_rows(grid[:5] + grid[2:])
+        result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == 5
+        assert result.nodes_explored == 9
+        assert cover_covers_exactly(m, result.witness)
+
+    def test_non_square(self):
+        m = BoolMatrix.from_rows(self.grid(8) + [[1] * 8, [1] * 8])
+        for matrix in (m, m.transpose()):
+            result = boolean_rank_exact(matrix)
+            assert result.complete and result.optimum == 5
+            assert cover_covers_exactly(matrix, result.witness)
+
+    def test_refutation_then_budget_exhaustion(self):
+        # fooling 3, antichain 4, rank 5: r = 4 is refuted in 204 nodes
+        grid = [
+            [1, 0, 1, 1, 1, 1],
+            [1, 1, 1, 0, 1, 1],
+            [0, 1, 1, 1, 1, 0],
+            [1, 0, 0, 1, 1, 1],
+            [1, 1, 1, 0, 0, 1],
+            [0, 1, 1, 1, 0, 1],
+        ]
+        m = BoolMatrix.from_rows(grid)
+        assert fooling_lower_bound(m) == 3 and naive_boolean_rank(grid) == 5
+        for max_nodes, lower in ((100, 4), (204, 5), (210, 5)):
+            result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
+            assert not result.complete
+            assert result.lower_bound == lower <= 5 <= result.optimum
+            assert cover_covers_exactly(m, result.witness)
+        result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == 5
+        assert result.nodes_explored == 211
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_finds_at_rank_and_refutes_below(self, rows):
+        m = BoolMatrix.from_rows(rows)
+        rank = naive_boolean_rank(rows)
+        cover, _, complete = _factor_search(m, rank, 10**6)
+        assert complete and len(cover) == rank
+        cells = {(i, j) for rmask, cmask in cover for i in range(m.n_rows) if rmask >> i & 1
+                 for j in range(m.n_cols) if cmask >> j & 1}
+        assert cells == {(i - 1, j - 1) for i, j in m.ones()}
+        if rank:
+            assert _factor_search(m, rank - 1, 10**6)[::2] == (None, True)
 
 
 class TestFoolingLowerBound:
@@ -411,6 +518,7 @@ class TestFoolingLowerBound:
         assert fooling_lower_bound(m) <= result.optimum <= min(nonzero_rows, nonzero_cols)
         assert cover_covers_exactly(m, result.witness)
         assert result.optimum == naive_boolean_rank(rows)
+        assert max(_antichain_bound(m.rows), _antichain_bound(m.transpose().rows)) <= result.optimum
 
 
 class TestBudget:
@@ -427,6 +535,7 @@ class TestNoReferenceCycles:
         # captured alive until the next cyclic collection
         calls = [
             lambda: boolean_rank_exact(build_A(5, 2)),
+            lambda: boolean_rank_exact(j_minus_i(8)),
             lambda: max_isolation_bruteforce(6, 3),
             lambda: max_triangular_bruteforce(2, 2, 4),
         ]
