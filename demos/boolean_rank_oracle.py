@@ -5,10 +5,12 @@ The Boolean rank of a 0/1 matrix is the least number of all-ones rectangles
 bound since no rectangle can contain two of its entries.  So does the
 antichain bound: distinct rows of equal weight need pairwise incomparable
 sets of rectangles.  The exact solver certifies the antichain bound with a
-row-set factor search, or runs branch-and-bound set cover over maximal
-rectangles where the isolation bound is the stronger.
+row-set factor search, searches for the largest isolation set when a
+greedy one falls short, and runs branch-and-bound set cover over maximal
+rectangles where the bracket is still open.
 """
 
+import random
 from math import comb
 
 from isoset import (
@@ -33,11 +35,23 @@ for idx, (rows, cols) in enumerate(result.witness, 1):
 print()
 
 # ---------------------------------------------------------------------------
-# Isolation matrices have full rank: the greedy fooling bound already hits
-# the matrix size, and one rectangle per row matches it from above.
+# Isolation matrices have full rank: the diagonal is a fooling set of the
+# matrix size, and one rectangle per row matches it from above.  In the
+# natural order the greedy fooling bound, which scans the ones row-major,
+# finds the whole diagonal.  Shuffle the rows and columns and it stops
+# short; the solver then searches for the largest fooling set as a maximum
+# clique and still certifies rank 9.
 f = circulant_isolation(5, 4)
 print("F(5,4): fooling lower bound =", fooling_lower_bound(f),
       " exact rank =", boolean_rank_exact(f).optimum)
+rng = random.Random(1)
+row_order = rng.sample(range(f.n_rows), f.n_rows)
+col_order = rng.sample(range(f.n_cols), f.n_cols)
+shuffled = BoolMatrix.from_rows([[f.rows[i] >> j & 1 for j in col_order] for i in row_order])
+result = boolean_rank_exact(shuffled)
+print("F(5,4) shuffled: fooling lower bound =", fooling_lower_bound(shuffled),
+      " exact rank =", result.optimum,
+      f"(complete={result.complete}, {result.nodes_explored} nodes)")
 print()
 
 # ---------------------------------------------------------------------------

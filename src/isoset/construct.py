@@ -301,23 +301,3 @@ def _triangular_blocks(a: int, b: int, fresh: Iterator[int]) -> tuple[list, list
     cols = [col + [x] for col in c1] + [bridge_col] + c2
     return rows, cols
 
-
-def compact_universe(fp: FamilyPair) -> FamilyPair:
-    """Relabel elements to {1..u}, preserving order; the realized matrix is unchanged.
-
-    Already-compact families are returned as-is.  Otherwise the original
-    universe size is recorded under meta['universe_before_compaction'].
-    """
-    used: set[int] = set()
-    for s in fp.rows + fp.cols:
-        used.update(s.elements())
-    ordered = sorted(used)
-    if ordered == list(range(1, fp.universe + 1)):
-        return fp
-    relabel = {e: i + 1 for i, e in enumerate(ordered)}
-    u = len(ordered)
-    rows = tuple(Subset.of([relabel[e] for e in s.elements()], u) for s in fp.rows)
-    cols = tuple(Subset.of([relabel[e] for e in s.elements()], u) for s in fp.cols)
-    meta = dict(fp.meta)
-    meta["universe_before_compaction"] = fp.universe
-    return FamilyPair(u, fp.row_size, fp.col_size, rows, cols, meta)

@@ -118,13 +118,14 @@ def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[in
     already holds a clique of that size passes it as the floor, and every
     branch that cannot beat it is pruned.  The adjacency arrives in search
     order: the caller numbers vertices by non-increasing degree, ties by
-    pair order, and a greedy clique taken in that order seeds the incumbent
-    when it beats the floor.  At every node the candidates are sorted by
-    degree within the candidate set, colored greedily in that order, and
-    branched in reverse color order; a vertex of color c cannot extend the
-    clique by more than c.  All orderings are index-tiebroken, so node
-    counts are reproducible.  Returns (best clique above the floor as
-    sorted vertex ids, or [] if none was found, nodes, complete).
+    pair order (the orbit search) or by entry bit (the fooling-set bound of
+    boolean_rank_exact), and a greedy clique taken in that order seeds the
+    incumbent when it beats the floor.  At every node the candidates are
+    sorted by degree within the candidate set, colored greedily in that
+    order, and branched in reverse color order; a vertex of color c cannot
+    extend the clique by more than c.  All orderings are index-tiebroken,
+    so node counts are reproducible.  Returns (best clique above the floor
+    as sorted vertex ids, or [] if none was found, nodes, complete).
     """
     n = len(adj)
     if n == 0:
@@ -579,12 +580,19 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     columns (the least r with C(r, r // 2) at least the most distinct
     nonzero rows of one weight).  When the antichain bound is the larger
     and below the cover, a row-set factor search runs once at r = lb: a
-    find certifies rank lb, a refutation raises lb by one.  A bracket still
-    open goes to branch-and-bound set cover over the 1-entries by the
-    maximal rectangles, branching on the uncovered entry contained in the
-    fewest rectangles, pruning with a greedy isolation-set bound, and
-    stopping at a cover of lb rectangles.  Both searches draw on one node
-    budget, and the set-cover tables are built only when that search runs.
+    find certifies rank lb, a refutation raises lb by one.  The greedy
+    isolation set depends on the order of rows and columns, so a bracket
+    still open next seeks a larger fooling set: a maximum clique of the
+    ones, two ones adjacent when no all-ones rectangle holds both, numbered
+    by non-increasing degree with ties by entry bit.  Any clique above lb
+    raises it, even when the clique search runs out of budget.  A bracket
+    open after that goes to branch-and-bound set cover over the 1-entries
+    by the maximal rectangles, branching on the uncovered entry contained
+    in the fewest rectangles, pruning with a greedy isolation-set bound,
+    and stopping at a cover of lb rectangles.  All three searches draw on
+    one node budget.  The compatibility masks are built only when the
+    bracket is open after the factor search, and the set-cover tables only
+    when that search runs.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
     results agree and the set cover's root bound is fooling_lower_bound's
@@ -653,13 +661,23 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
             for j in iter_bits(row):
                 clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
                 compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
-        chosen, used, finished = _cover_search(
-            rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
-        )
+        # a clique of pairwise compatible ones is a fooling set, so any clique
+        # found bounds the rank, even when the search runs out of budget
+        order = sorted(iter_bits(full), key=lambda x: -compat[x].bit_count())  # ties by entry bit
+        vertex = {x: v for v, x in enumerate(order)}
+        adj = [sum(1 << vertex[y] for y in iter_bits(compat[x])) for x in order]
+        clique, used, _ = _max_clique(adj, budget.max_nodes - nodes, lower)
         nodes += used
-        if chosen is not None:
-            best_cover = [rects[ri] for ri in chosen]
-        complete = len(best_cover) == lower or (finished and enum_complete)
+        lower = max(lower, len(clique))
+        complete = len(best_cover) == lower
+        if not complete and nodes < budget.max_nodes:
+            chosen, used, finished = _cover_search(
+                rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
+            )
+            nodes += used
+            if chosen is not None:
+                best_cover = [rects[ri] for ri in chosen]
+            complete = len(best_cover) == lower or (finished and enum_complete)
 
     optimum = len(best_cover)
     witness = tuple(

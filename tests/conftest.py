@@ -1,8 +1,11 @@
+import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from isoset import BoolMatrix
 
 settings.register_profile(
     "deterministic",
@@ -55,3 +58,39 @@ def naive_boolean_rank(grid):
         for r in range(len(rects) + 1)
         if any(set().union(*cover) == ones for cover in combinations(rects, r))
     )
+
+
+def permute(m, seed):
+    """The rows and the columns of m, each in a seeded random order.
+
+    Permuting rows and columns changes neither the Boolean rank nor the
+    largest fooling set, but it does change row-major greedy choices.
+    """
+    rng = random.Random(seed)
+    row_order = rng.sample(range(m.n_rows), m.n_rows)
+    col_order = rng.sample(range(m.n_cols), m.n_cols)
+    return BoolMatrix.from_rows(
+        [[m.rows[i] >> j & 1 for j in col_order] for i in row_order]
+    )
+
+
+def naive_max_fooling_set(grid):
+    """Most ones of a 0/1 grid of which no two lie in one all-ones rectangle.
+
+    Ones (i, j) and (i2, j2) clash when grid[i][j2] and grid[i2][j] are both
+    1, which covers a shared row or column.  Subsets of the ones are tried
+    by size; every subset of a fooling set is one, so the first size with
+    none ends the search.
+    """
+    ones = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v]
+
+    def fooling(cells):
+        return all(
+            not (grid[i][j2] and grid[i2][j])
+            for (i, j), (i2, j2) in combinations(cells, 2)
+        )
+
+    size = 0
+    while any(fooling(cells) for cells in combinations(ones, size + 1)):
+        size += 1
+    return size

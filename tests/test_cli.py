@@ -3,8 +3,10 @@
 import json
 
 
-from isoset import family_from_json, verify_isolation
+from isoset import circulant_isolation, family_from_json, matrix_to_text, verify_isolation
 from isoset.cli import main
+
+from conftest import permute
 
 
 def run(capsys, *argv):
@@ -225,6 +227,15 @@ class TestRank:
         code, out = run(capsys, "rank", str(path))
         assert code == 0
         assert out.splitlines()[0] == "rank 9"
+
+    def test_permuted_circulant_rank(self, capsys, tmp_path):
+        # shuffled rows and columns cut the greedy fooling bound to 7; the
+        # largest fooling set still has 13 entries, the matrix size
+        path = tmp_path / "shuffled.txt"
+        path.write_text(matrix_to_text(permute(circulant_isolation(7, 6), 1)))
+        code, out = run(capsys, "rank", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "rank 13"
 
     def test_family_document_input(self, capsys, tmp_path):
         # an isolation family realizes an isolation matrix, which has full rank

@@ -1,4 +1,4 @@
-"""Constructions: identity, circulant, isolation regimes, triangular, compaction."""
+"""Constructions: identity, circulant, isolation regimes, triangular."""
 
 from math import comb
 
@@ -9,7 +9,6 @@ from isoset import (
     RangeError,
     ResourceLimitError,
     circulant_isolation,
-    compact_universe,
     family_to_matrix,
     identity_family,
     isolation_3t2,
@@ -352,35 +351,3 @@ class TestTriangular:
         with pytest.raises(RangeError):
             triangular_family(0, 2)
 
-
-class TestCompactUniverse:
-    def test_relabels_preserving_order(self):
-        from isoset import FamilyPair
-
-        fp = FamilyPair.from_elements([[3, 9]], [[7, 9]], 9)
-        compact = compact_universe(fp)
-        assert compact.universe == 3
-        rows, cols = family_elements(compact)
-        assert rows == [(1, 3)] and cols == [(2, 3)]
-
-    def test_fixed_point(self):
-        fp = identity_family(6, 2)
-        assert compact_universe(fp) is fp
-
-    def test_matrix_unchanged(self):
-        for fp in [
-            triangular_family(2, 2),
-            isolation_construct(8, 3),
-            identity_family(7, 2),
-        ]:
-            assert family_to_matrix(compact_universe(fp)) == family_to_matrix(fp)
-
-    def test_matrix_unchanged_after_gaps(self):
-        from isoset import FamilyPair
-
-        fp = FamilyPair.from_elements(
-            [[2, 10], [4, 12]], [[2, 12], [4, 10]], 12
-        )
-        assert family_to_matrix(compact_universe(fp)) == family_to_matrix(fp)
-        assert compact_universe(fp).universe == 4
-        assert compact_universe(fp).meta["universe_before_compaction"] == 12

@@ -4,9 +4,10 @@ import gc
 import tracemalloc
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoset import (
@@ -25,6 +26,7 @@ from isoset import (
     max_identity_bruteforce,
     max_isolation_bruteforce,
     max_triangular_bruteforce,
+    triangular_family,
     verify_identity,
     verify_identity_decomposition,
     verify_isolation,
@@ -32,9 +34,9 @@ from isoset import (
     verify_triangular,
 )
 
-from isoset.oracle import _antichain_bound, _factor_search
+from isoset.oracle import _antichain_bound, _factor_search, _max_clique
 
-from conftest import naive_boolean_rank
+from conftest import naive_boolean_rank, naive_max_fooling_set, permute
 
 
 class TestCompatGraph:
@@ -297,8 +299,6 @@ class TestBooleanRank:
             assert boolean_rank_exact(m).optimum == m.n_rows
 
     def test_realized_triangular_families_have_full_rank(self):
-        from isoset import triangular_family
-
         for a, b in [(2, 2), (3, 2), (2, 3)]:
             m = family_to_matrix(triangular_family(a, b))
             result = boolean_rank_exact(m)
@@ -446,7 +446,7 @@ class TestFactorSearch:
             assert cover_covers_exactly(m, result.witness)
         result = boolean_rank_exact(m)
         assert result.complete and result.optimum == 5
-        assert result.nodes_explored == 211
+        assert result.nodes_explored == 213
 
     @given(
         st.integers(1, 5).flatmap(
@@ -467,6 +467,87 @@ class TestFactorSearch:
         assert cells == {(i - 1, j - 1) for i, j in m.ones()}
         if rank:
             assert _factor_search(m, rank - 1, 10**6)[::2] == (None, True)
+
+
+class TestRankUnderPermutation:
+    """Shuffling rows and columns moves the greedy fooling bound, not the rank.
+
+    The largest fooling set, found as a maximum clique of compatible ones,
+    does not depend on the order, so these certify without a long cover DFS.
+    """
+
+    MATRICES = {
+        "circulant(7,6)": (lambda: circulant_isolation(7, 6), 13),
+        "circulant(6,5)": (lambda: circulant_isolation(6, 5), 11),
+        "isolation_construct(12,4)": (
+            lambda: family_to_matrix(isolation_construct(12, 4)), 11),
+        "triangular_family(3,3)": (lambda: family_to_matrix(triangular_family(3, 3)), 19),
+    }
+
+    @pytest.mark.parametrize(
+        "name, seed, nodes",
+        [
+            ("circulant(7,6)", 1, 1),
+            ("circulant(7,6)", 2, 1),
+            ("circulant(7,6)", 3, 1),
+            ("circulant(6,5)", 1, 1),
+            ("circulant(6,5)", 2, 2_471),
+            ("circulant(6,5)", 3, 12_714),
+            ("isolation_construct(12,4)", 1, 12),
+            ("isolation_construct(12,4)", 2, 12),
+            ("isolation_construct(12,4)", 3, 12),
+            ("triangular_family(3,3)", 1, 1),
+            ("triangular_family(3,3)", 2, 1),
+            ("triangular_family(3,3)", 3, 1),
+        ],
+    )
+    def test_certified_at_known_rank(self, name, seed, nodes):
+        build, rank = self.MATRICES[name]
+        m = permute(build(), seed)
+        assert fooling_lower_bound(m) < rank  # the greedy bound alone is not enough
+        result = boolean_rank_exact(m, RankBudget(max_nodes=100_000))
+        assert result.complete and result.optimum == result.lower_bound == rank
+        assert result.nodes_explored == nodes
+        assert cover_covers_exactly(m, result.witness)
+
+
+class TestMaxFoolingSet:
+    """The clique step of boolean_rank_exact against a set-based search."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_clique_bound_against_naive(self, rows):
+        m = BoolMatrix.from_rows(rows)
+        calls = []
+
+        def spy(adj, max_nodes, floor):
+            found = _max_clique(adj, max_nodes, floor)
+            calls.append((adj, floor, found))
+            return found
+
+        with mock.patch("isoset.oracle._max_clique", spy):
+            boolean_rank_exact(m)
+        fooling, largest, rank = (
+            fooling_lower_bound(m), naive_max_fooling_set(rows), naive_boolean_rank(rows)
+        )
+        for adj, floor, (clique, _, complete) in calls:
+            bound = max(floor, len(clique))
+            assert fooling <= bound <= rank
+            if complete:
+                assert bound == max(floor, largest)
+            assert len(_max_clique(adj, 10**6, 0)[0]) == largest
+        for max_nodes in (1, 2, 5, 20):
+            result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
+            if not result.complete:
+                assert fooling <= result.lower_bound <= rank <= result.optimum
 
 
 class TestFoolingLowerBound:
