@@ -4,10 +4,10 @@ The Boolean rank of a 0/1 matrix is the least number of all-ones rectangles
 (row set x column set) covering its ones; any isolation set gives a lower
 bound since no rectangle can contain two of its entries.  So does the
 antichain bound: distinct rows of equal weight need pairwise incomparable
-sets of rectangles.  The exact solver certifies the antichain bound with a
-row-set factor search, searches for the largest isolation set when a
-greedy one falls short, and runs branch-and-bound set cover over maximal
-rectangles where the bracket is still open.
+sets of rectangles.  The exact solver runs its cheap certificate first: a
+row-set factor search at the antichain bound.  Only where that leaves the
+bracket open does it enumerate maximal rectangles for a greedy cover,
+search for the largest isolation set, and run branch-and-bound set cover.
 """
 
 import random
@@ -26,12 +26,23 @@ from isoset import (
 # ---------------------------------------------------------------------------
 # The full matrix at k=5, t=2 has Boolean rank 5: one "star" rectangle per
 # element of the ground set (all subsets containing it) covers everything,
-# and no four rectangles suffice.
+# and no four rectangles suffice.  Its 10 rows are distinct and of one
+# weight, and C(4, 2) = 6 < 10, so the antichain bound is 5.  Ten rows
+# cannot all get single rectangles, so the factor search tries 2-sets of
+# the 5 rectangles first, the sets the stars give, and finds them at once.
 m = build_A(5, 2)
 result = boolean_rank_exact(m)
-print(f"rank of A(5,2) = {result.optimum} (complete={result.complete})")
+print(f"rank of A(5,2) = {result.optimum} (complete={result.complete},"
+      f" {result.nodes_explored} nodes)")
 for idx, (rows, cols) in enumerate(result.witness, 1):
     print(f"  rectangle {idx}: rows {rows} cols {cols}")
+print()
+
+# The same search certifies the paper's rank A(k, t) = k well beyond the
+# reach of rectangle enumeration: A(8, 3) has 56 rows of one weight.
+result = boolean_rank_exact(build_A(8, 3))
+print(f"rank of A(8,3) = {result.optimum} (complete={result.complete},"
+      f" {result.nodes_explored} nodes)")
 print()
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,12 @@ def _maximal_bicliques(m: BoolMatrix, cap: int) -> tuple[list[tuple[int, int]], 
     return sorted(rects.items()), complete
 
 
+def _widest_weight_class(masks: Sequence[int]) -> int:
+    """The most distinct nonzero masks that share one weight."""
+    widths = Counter(mask.bit_count() for mask in set(masks) if mask)
+    return max(widths.values(), default=0)
+
+
 def _antichain_bound(masks: Sequence[int]) -> int:
     """Least r with C(r, r // 2) at least the most distinct nonzero masks of one weight.
 
@@ -398,8 +404,7 @@ def _antichain_bound(masks: Sequence[int]) -> int:
     sets form an antichain of subsets of [r], which by Sperner's theorem has
     at most C(r, r // 2) members.  The columns bound the rank the same way.
     """
-    widths = Counter(mask.bit_count() for mask in set(masks) if mask)
-    most = max(widths.values(), default=0)
+    most = _widest_weight_class(masks)
     r = 0
     while comb(r, r // 2) < most:
         r += 1
@@ -430,8 +435,14 @@ def _factor_search(
     the row, and for each zero (i, j) the up-set of X_i' - U_j for every
     placed row i' with a one in column j, which adding X_i to U_j would
     swallow.  Unused inner indices are interchangeable, so a set takes new
-    ones only as the next unused in order.  Candidates are tried middle
-    layer first: ascending |2|X| - r|, then by value.
+    ones only as the next unused in order.  Candidates are tried a layer
+    (a set size) at a time, each layer by value.  The largest class of
+    distinct rows of one weight, ``most`` rows, needs pairwise incomparable
+    sets; when most > r they cannot all be singletons, and the layers run
+    by distance from p0, the least p with C(r, p) >= most, ties to the
+    smaller p, so the search starts where that antichain first fits (the
+    t-sets of the element stars for A(k, t)).  Otherwise the middle layer
+    goes first: ascending |2|X| - r|, then by value.
 
     Returns (rectangle l = (rows whose set holds l, their common columns)
     for l = 0..r-1, or None; nodes; complete).  None with complete=True
@@ -448,7 +459,12 @@ def _factor_search(
     layers = [1]  # layers[p]: the p-subsets of the inner indices added so far
     for b in range(r):
         layers = [low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)]
-    groups = [layers[p] | layers[r - p] for p in range(r // 2, -1, -1)]
+    most = _widest_weight_class(rows)
+    if most > r:
+        p0 = next((p for p in range(r + 1) if comb(r, p) >= most), r // 2)
+        groups = [layers[p] for p in sorted(range(r + 1), key=lambda p: (abs(p - p0), p))]
+    else:
+        groups = [layers[p] | layers[r - p] for p in range(r // 2, -1, -1)]
     # fresh[u]: the sets whose indices >= u are u, u+1, ..., u+f-1 for some f
     # (the sets for different f are disjoint, so the sum is their union)
     fresh = [
@@ -573,26 +589,28 @@ def _cover_search(
 def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> SearchResult:
     """Exact minimum number of all-ones rectangles covering the ones of m.
 
-    Brackets the rank first.  From above: one rectangle per nonzero row, or
-    a greedy cover by the maximal rectangles when they cover every one.
-    From below, lb: the larger of the greedy isolation set of
-    fooling_lower_bound and the antichain bound of the rows and of the
-    columns (the least r with C(r, r // 2) at least the most distinct
-    nonzero rows of one weight).  When the antichain bound is the larger
-    and below the cover, a row-set factor search runs once at r = lb: a
-    find certifies rank lb, a refutation raises lb by one.  The greedy
-    isolation set depends on the order of rows and columns, so a bracket
-    still open next seeks a larger fooling set: a maximum clique of the
-    ones, two ones adjacent when no all-ones rectangle holds both, numbered
-    by non-increasing degree with ties by entry bit.  Any clique above lb
+    The cheap certificates run first and the rectangle machinery only when
+    they leave the bracket open.  Stage 1, the root bounds: from above, one
+    rectangle per nonzero row; from below, lb, the larger of the greedy
+    isolation set of fooling_lower_bound and the antichain bound of the
+    rows and of the columns (the least r with C(r, r // 2) at least the
+    most distinct nonzero rows of one weight).  Stage 2: when the antichain
+    bound is the larger and below that cover, a row-set factor search runs
+    once at r = lb (see _factor_search for its layer order): a find
+    certifies rank lb, a refutation raises lb by one.  Stage 3, only for a
+    bracket still open: the maximal rectangles are enumerated (up to the
+    cap), and a greedy cover by them may lower the upper bound.  The greedy
+    isolation set depends on the order of rows and columns, so a larger
+    fooling set is sought next: a maximum clique of the ones, two ones
+    adjacent when no all-ones rectangle holds both, numbered by
+    non-increasing degree with ties by entry bit.  Any clique above lb
     raises it, even when the clique search runs out of budget.  A bracket
     open after that goes to branch-and-bound set cover over the 1-entries
     by the maximal rectangles, branching on the uncovered entry contained
     in the fewest rectangles, pruning with a greedy isolation-set bound,
     and stopping at a cover of lb rectangles.  All three searches draw on
-    one node budget.  The compatibility masks are built only when the
-    bracket is open after the factor search, and the set-cover tables only
-    when that search runs.
+    one node budget; a stage that starts on a spent budget stops on its
+    first node, so an exhausted run reports max_nodes + 1 nodes.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
     results agree and the set cover's root bound is fooling_lower_bound's
@@ -605,6 +623,23 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     check_cap(total_ones, "one-entries")
     if total_ones == 0:
         return SearchResult(0, (), 0, True, 0)
+
+    # incumbent: one rectangle per nonzero row is always a valid cover
+    best_cover: list[tuple[int, int]] = [
+        (1 << i, m.rows[i]) for i in range(m.n_rows) if m.rows[i]
+    ]
+    cols = m.transpose().rows
+    fooling = fooling_lower_bound(m)
+    lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(cols))
+    nodes = 0
+    if fooling < lower < len(best_cover):
+        found, nodes, refuted = _factor_search(m, lower, budget.max_nodes)
+        if found is not None:
+            best_cover = found
+        elif refuted:
+            lower += 1
+    if len(best_cover) == lower:
+        return _rank_result(m, best_cover, nodes, True, lower)
 
     rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
     # the entry set of the ones of row i in cols, a subset of row i
@@ -621,39 +656,23 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     full = sum(place(i, row) for i, row in enumerate(m.rows))
     rect_masks = [sum(place(i, cmask) for i in iter_bits(rmask)) for rmask, cmask in rects]
 
-    # incumbent: one rectangle per nonzero row is always a valid cover
-    best_cover: list[tuple[int, int]] = [
-        (1 << i, m.rows[i]) for i in range(m.n_rows) if m.rows[i]
-    ]
-    covered_by_rects = 0
-    for rm in rect_masks:
-        covered_by_rects |= rm
-    if covered_by_rects == full:
-        uncovered = full
-        greedy: list[int] = []
-        while uncovered:
-            gain, pick = 0, -1
-            for ri, rm in enumerate(rect_masks):
-                g = (rm & uncovered).bit_count()
-                if g > gain:
-                    gain, pick = g, ri
-            greedy.append(pick)
-            uncovered &= ~rect_masks[pick]
-        if len(greedy) < len(best_cover):
-            best_cover = [rects[ri] for ri in greedy]
-
-    cols = m.transpose().rows
-    fooling = fooling_lower_bound(m)
-    lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(cols))
-    nodes = 0
-    if fooling < lower < len(best_cover):
-        found, nodes, refuted = _factor_search(m, lower, budget.max_nodes)
-        if found is not None:
-            best_cover = found
-        elif refuted:
-            lower += 1
+    # every distinct row support is enumerated before the cap applies, and
+    # its rectangle holds that whole row, so the greedy cover always ends
+    uncovered = full
+    greedy: list[int] = []
+    while uncovered:
+        gain, pick = 0, -1
+        for ri, rm in enumerate(rect_masks):
+            g = (rm & uncovered).bit_count()
+            if g > gain:
+                gain, pick = g, ri
+        greedy.append(pick)
+        uncovered &= ~rect_masks[pick]
+    if len(greedy) < len(best_cover):
+        best_cover = [rects[ri] for ri in greedy]
     complete = len(best_cover) == lower
-    if not complete and nodes < budget.max_nodes:
+
+    if not complete and nodes <= budget.max_nodes:
         # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
         # which also holds when they share a row or a column
         compat = [0] * full.bit_length()
@@ -670,7 +689,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         nodes += used
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
-        if not complete and nodes < budget.max_nodes:
+        if not complete and nodes <= budget.max_nodes:
             chosen, used, finished = _cover_search(
                 rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
             )
@@ -678,11 +697,17 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
             if chosen is not None:
                 best_cover = [rects[ri] for ri in chosen]
             complete = len(best_cover) == lower or (finished and enum_complete)
+    return _rank_result(m, best_cover, nodes, complete, lower)
 
-    optimum = len(best_cover)
+
+def _rank_result(
+    m: BoolMatrix, cover: list[tuple[int, int]], nodes: int, complete: bool, lower: int
+) -> SearchResult:
+    """The SearchResult of a rank run: the cover as 1-based (rows, cols) pairs."""
+    optimum = len(cover)
     witness = tuple(
         (Subset(m.n_rows, rmask).elements(), Subset(m.n_cols, cmask).elements())
-        for rmask, cmask in best_cover
+        for rmask, cmask in cover
     )
     return SearchResult(optimum, witness, nodes, complete, optimum if complete else lower)
 

@@ -212,6 +212,12 @@ class TestRank:
         assert lines[0] == "rank 6"
         assert sum(line.startswith("rect ") for line in lines) == 6
 
+    def test_gen_A_8_3(self, capsys):
+        # 56 rows of one weight: the factor search starts at the 3-sets
+        code, out = run(capsys, "rank", "--gen-A", "8", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "rank 8"
+
     def test_identity_adds_decomposition_certificate(self, capsys, tmp_path):
         path = tmp_path / "id4.txt"
         path.write_text("4 4\n1000\n0100\n0010\n0001\n")

@@ -34,7 +34,7 @@ from isoset import (
     verify_triangular,
 )
 
-from isoset.oracle import _antichain_bound, _factor_search, _max_clique
+from isoset.oracle import _antichain_bound, _factor_search, _max_clique, _maximal_bicliques
 
 from conftest import naive_boolean_rank, naive_max_fooling_set, permute
 
@@ -387,13 +387,42 @@ class TestAntichainBound:
 class TestRankOfA:
     # the C(k, t) rows are distinct and of one weight, and C(k, t) > C(k - 1, (k - 1) // 2)
     # here, so the antichain bound is k; the k element stars cover A(k, t)
-    @pytest.mark.parametrize("k, t, nodes", [(6, 3, 21), (7, 3, 36), (8, 4, 71)])
+    @pytest.mark.parametrize(
+        "k, t, nodes",
+        [
+            (5, 2, 11),
+            (6, 2, 16),
+            (7, 2, 22),
+            (6, 3, 21),
+            (7, 3, 36),
+            (8, 3, 57),
+            (8, 4, 71),
+            (9, 3, 85),
+            (9, 4, 127),
+        ],
+    )
     def test_rank_is_k(self, k, t, nodes):
         m = build_A(k, t)
         result = boolean_rank_exact(m)
         assert result.complete and result.optimum == k
         assert result.nodes_explored == nodes
         assert cover_covers_exactly(m, result.witness)
+
+    # C(k, 2) > k distinct rows of one weight cannot all get singletons, so
+    # the layers run from p0 = 2, the element stars' layer; middle layer
+    # first takes 37,406 nodes at k = 6 and more than 200,000 at k = 7 and 8
+    @pytest.mark.parametrize("k, nodes", [(5, 11), (6, 16), (7, 22), (8, 29)])
+    def test_factor_search_starts_at_the_star_layer(self, k, nodes):
+        m = build_A(k, 2)
+        cover, used, complete = _factor_search(m, k, 10**6)
+        assert complete and len(cover) == k and used == nodes
+
+    @pytest.mark.parametrize("m", [build_A(6, 3), j_minus_i(9)], ids=["A(6,3)", "J9-I9"])
+    def test_certified_without_enumerating_rectangles(self, m):
+        with mock.patch("isoset.oracle._maximal_bicliques") as enumerate_rectangles:
+            result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == result.lower_bound
+        enumerate_rectangles.assert_not_called()
 
 
 class TestFactorSearch:
@@ -439,9 +468,12 @@ class TestFactorSearch:
         ]
         m = BoolMatrix.from_rows(grid)
         assert fooling_lower_bound(m) == 3 and naive_boolean_rank(grid) == 5
-        for max_nodes, lower in ((100, 4), (204, 5), (210, 5)):
+        # 204: the refutation spends the budget exactly, and the clique stage
+        # stops on its first node; 206: the clique likewise ends on the budget
+        for max_nodes, lower in ((100, 4), (204, 5), (206, 5), (210, 5)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert not result.complete
+            assert result.nodes_explored == max_nodes + 1
             assert result.lower_bound == lower <= 5 <= result.optimum
             assert cover_covers_exactly(m, result.witness)
         result = boolean_rank_exact(m)
@@ -467,6 +499,28 @@ class TestFactorSearch:
         assert cells == {(i - 1, j - 1) for i, j in m.ones()}
         if rank:
             assert _factor_search(m, rank - 1, 10**6)[::2] == (None, True)
+
+
+class TestMaximalBicliques:
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_capped_rectangles_cover_every_one(self, rows):
+        # every distinct row support is kept before the cap applies, and its
+        # rectangle holds that whole row
+        m = BoolMatrix.from_rows(rows)
+        for cap in (1, 2, 3):
+            rects, _ = _maximal_bicliques(m, cap)
+            cells = {(i + 1, j + 1) for rmask, cmask in rects for i in range(m.n_rows)
+                     if rmask >> i & 1 for j in range(m.n_cols) if cmask >> j & 1}
+            assert cells == set(m.ones())
 
 
 class TestRankUnderPermutation:
@@ -617,6 +671,7 @@ class TestNoReferenceCycles:
         calls = [
             lambda: boolean_rank_exact(build_A(5, 2)),
             lambda: boolean_rank_exact(j_minus_i(8)),
+            lambda: boolean_rank_exact(build_A(6, 3)),
             lambda: max_isolation_bruteforce(6, 3),
             lambda: max_triangular_bruteforce(2, 2, 4),
         ]
