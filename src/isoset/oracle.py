@@ -438,11 +438,9 @@ def _factor_search(
     ones only as the next unused in order.  Candidates are tried a layer
     (a set size) at a time, each layer by value.  The largest class of
     distinct rows of one weight, ``most`` rows, needs pairwise incomparable
-    sets; when most > r they cannot all be singletons, and the layers run
-    by distance from p0, the least p with C(r, p) >= most, ties to the
-    smaller p, so the search starts where that antichain first fits (the
-    t-sets of the element stars for A(k, t)).  Otherwise the middle layer
-    goes first: ascending |2|X| - r|, then by value.
+    sets, so the layers run by distance from p0, the least p with
+    C(r, p) >= most, ties to the smaller p: the search starts where that
+    antichain first fits (the t-sets of the element stars for A(k, t)).
 
     Returns (rectangle l = (rows whose set holds l, their common columns)
     for l = 0..r-1, or None; nodes; complete).  None with complete=True
@@ -459,12 +457,11 @@ def _factor_search(
     layers = [1]  # layers[p]: the p-subsets of the inner indices added so far
     for b in range(r):
         layers = [low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)]
+    # no layer holds ``most`` sets only when r is below the rows' antichain
+    # bound, which boolean_rank_exact never asks; any order refutes there
     most = _widest_weight_class(rows)
-    if most > r:
-        p0 = next((p for p in range(r + 1) if comb(r, p) >= most), r // 2)
-        groups = [layers[p] for p in sorted(range(r + 1), key=lambda p: (abs(p - p0), p))]
-    else:
-        groups = [layers[p] | layers[r - p] for p in range(r // 2, -1, -1)]
+    p0 = next((p for p in range(r + 1) if comb(r, p) >= most), 0)
+    groups = [layers[p] for p in sorted(range(r + 1), key=lambda p: (abs(p - p0), p))]
     # fresh[u]: the sets whose indices >= u are u, u+1, ..., u+f-1 for some f
     # (the sets for different f are disjoint, so the sum is their union)
     fresh = [
@@ -609,8 +606,8 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     by the maximal rectangles, branching on the uncovered entry contained
     in the fewest rectangles, pruning with a greedy isolation-set bound,
     and stopping at a cover of lb rectangles.  All three searches draw on
-    one node budget; a stage that starts on a spent budget stops on its
-    first node, so an exhausted run reports max_nodes + 1 nodes.
+    one node budget; a search stage skipped on a spent budget counts the
+    node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
     results agree and the set cover's root bound is fooling_lower_bound's
@@ -672,7 +669,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         best_cover = [rects[ri] for ri in greedy]
     complete = len(best_cover) == lower
 
-    if not complete and nodes <= budget.max_nodes:
+    if not complete and nodes < budget.max_nodes:
         # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
         # which also holds when they share a row or a column
         compat = [0] * full.bit_length()
@@ -689,7 +686,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         nodes += used
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
-        if not complete and nodes <= budget.max_nodes:
+        if not complete and nodes < budget.max_nodes:
             chosen, used, finished = _cover_search(
                 rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
             )
@@ -697,6 +694,9 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
             if chosen is not None:
                 best_cover = [rects[ri] for ri in chosen]
             complete = len(best_cover) == lower or (finished and enum_complete)
+            return _rank_result(m, best_cover, nodes, complete, lower)
+    if not complete:  # a stage was skipped on a spent budget
+        nodes = max(nodes, budget.max_nodes + 1)
     return _rank_result(m, best_cover, nodes, complete, lower)
 
 

@@ -408,14 +408,14 @@ class TestRankOfA:
         assert result.nodes_explored == nodes
         assert cover_covers_exactly(m, result.witness)
 
-    # C(k, 2) > k distinct rows of one weight cannot all get singletons, so
-    # the layers run from p0 = 2, the element stars' layer; middle layer
-    # first takes 37,406 nodes at k = 6 and more than 200,000 at k = 7 and 8
-    @pytest.mark.parametrize("k, nodes", [(5, 11), (6, 16), (7, 22), (8, 29)])
-    def test_factor_search_starts_at_the_star_layer(self, k, nodes):
-        m = build_A(k, 2)
-        cover, used, complete = _factor_search(m, k, 10**6)
-        assert complete and len(cover) == k and used == nodes
+    # C(8, 2) > 8 distinct rows of one weight cannot all get singletons, so
+    # the layers run from p0 = 2, the element stars' layer; middle layer first
+    # takes more than 200,000 nodes.  boolean_rank_exact(build_A(8, 2)) refutes
+    # lb 7 before it searches r = 8, so this calls the factor search directly;
+    # test_rank_is_k pins A(5..7, 2), where middle first needs 37,406 nodes at k = 6
+    def test_factor_search_starts_at_the_star_layer(self):
+        cover, used, complete = _factor_search(build_A(8, 2), 8, 10**6)
+        assert complete and len(cover) == 8 and used == 29
 
     @pytest.mark.parametrize("m", [build_A(6, 3), j_minus_i(9)], ids=["A(6,3)", "J9-I9"])
     def test_certified_without_enumerating_rectangles(self, m):
@@ -468,8 +468,9 @@ class TestFactorSearch:
         ]
         m = BoolMatrix.from_rows(grid)
         assert fooling_lower_bound(m) == 3 and naive_boolean_rank(grid) == 5
-        # 204: the refutation spends the budget exactly, and the clique stage
-        # stops on its first node; 206: the clique likewise ends on the budget
+        # 204: the refutation spends the budget exactly, and the skipped clique
+        # stage counts the node it would stop on; 206: the clique likewise ends
+        # on the budget, and the skipped cover search counts one more node
         for max_nodes, lower in ((100, 4), (204, 5), (206, 5), (210, 5)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert not result.complete
