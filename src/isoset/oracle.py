@@ -529,16 +529,24 @@ def _cover_search(
     """Branch-and-bound set cover of the entry set ``full`` by ``rect_masks``.
 
     Seeks covers by fewer than ``best`` rectangles, branching on the
-    uncovered entry contained in the fewest rectangles and pruning with a
-    greedy isolation set of the uncovered entries (compat[x] holds the
-    entries that may join entry x in one).  A cover by ``floor`` rectangles,
-    a proven lower bound, ends the search.  Returns (the best cover found as
-    rectangle indices, or None; nodes; whether the search finished).
+    uncovered entry contained in the fewest rectangles, ties to the lowest
+    entry bit, and pruning with a greedy isolation set of the uncovered
+    entries (compat[x] holds the entries that may join entry x in one).
+    The entries are grouped once into one mask per rectangle count, so a
+    node finds its branch entry in the first count class that meets the
+    uncovered set.  A cover by ``floor`` rectangles, a proven lower bound,
+    ends the search.  Returns (the best cover found as rectangle indices,
+    or None; nodes; whether the search finished).
     """
     entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
     for ri, rm in enumerate(rect_masks):
         for x in iter_bits(rm):
             entry_rects[x].append(ri)
+    by_count: dict[int, int] = {}
+    for x in iter_bits(full):
+        count = len(entry_rects[x])
+        by_count[count] = by_count.get(count, 0) | 1 << x
+    classes = [by_count[count] for count in sorted(by_count)]
 
     def isolation_bound(uncovered: int) -> int:
         count = 0
@@ -565,7 +573,11 @@ def _cover_search(
         uncovered = full & ~covered
         if len(chosen) + isolation_bound(uncovered) >= best:
             return False
-        branch = min(iter_bits(uncovered), key=lambda x: len(entry_rects[x]))
+        for cls in classes:  # they partition full, so one meets uncovered
+            pick = uncovered & cls
+            if pick:
+                break
+        branch = (pick & -pick).bit_length() - 1
         for ri in entry_rects[branch]:  # empty when no enumerated rectangle holds it
             chosen.append(ri)
             done = dfs(covered | rect_masks[ri])
