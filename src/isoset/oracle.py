@@ -534,9 +534,13 @@ def _cover_search(
     entries (compat[x] holds the entries that may join entry x in one).
     The entries are grouped once into one mask per rectangle count, so a
     node finds its branch entry in the first count class that meets the
-    uncovered set.  A cover by ``floor`` rectangles, a proven lower bound,
-    ends the search.  Returns (the best cover found as rectangle indices,
-    or None; nodes; whether the search finished).
+    uncovered set.  Siblings exclude each other: once a child returns
+    unfinished, its rectangle is banned from the later siblings and their
+    subtrees, since every cover that holds it and a later sibling's
+    rectangle was already searched in its own subtree.  A cover by
+    ``floor`` rectangles, a proven lower bound, ends the search.  Returns
+    (the best cover found as rectangle indices, or None; nodes; whether the
+    search finished).
     """
     entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
     for ri, rm in enumerate(rect_masks):
@@ -561,7 +565,7 @@ def _cover_search(
     chosen: list[int] = []
     cover: list[int] | None = None
 
-    def dfs(covered: int) -> bool:
+    def dfs(covered: int, banned: int) -> bool:
         nonlocal nodes, best, cover
         nodes += 1
         if nodes > max_nodes:
@@ -579,16 +583,19 @@ def _cover_search(
                 break
         branch = (pick & -pick).bit_length() - 1
         for ri in entry_rects[branch]:  # empty when no enumerated rectangle holds it
+            if banned >> ri & 1:
+                continue
             chosen.append(ri)
-            done = dfs(covered | rect_masks[ri])
+            done = dfs(covered | rect_masks[ri], banned)
             chosen.pop()
             if done:
                 return True
+            banned |= 1 << ri
         return False
 
     finished = True
     try:
-        dfs(0)
+        dfs(0, 0)
     except _BudgetExhausted:
         finished = False
     del dfs  # break the closure's reference to itself
@@ -616,8 +623,9 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     raises it, even when the clique search runs out of budget.  A bracket
     open after that goes to branch-and-bound set cover over the 1-entries
     by the maximal rectangles, branching on the uncovered entry contained
-    in the fewest rectangles, pruning with a greedy isolation-set bound,
-    and stopping at a cover of lb rectangles.  All three searches draw on
+    in the fewest rectangles, skipping the rectangles an earlier sibling
+    already tried, pruning with a greedy isolation-set bound, and stopping
+    at a cover of lb rectangles.  All three searches draw on
     one node budget; a search stage skipped on a spent budget counts the
     node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the

@@ -34,7 +34,14 @@ from isoset import (
     verify_triangular,
 )
 
-from isoset.oracle import _antichain_bound, _factor_search, _max_clique, _maximal_bicliques
+from isoset.core import iter_bits
+from isoset.oracle import (
+    _antichain_bound,
+    _cover_search,
+    _factor_search,
+    _max_clique,
+    _maximal_bicliques,
+)
 
 from conftest import naive_boolean_rank, naive_max_fooling_set, permute
 
@@ -500,6 +507,74 @@ class TestFactorSearch:
         assert cells == {(i - 1, j - 1) for i, j in m.ones()}
         if rank:
             assert _factor_search(m, rank - 1, 10**6)[::2] == (None, True)
+
+
+class TestCoverSearch:
+    """The rectangle-cover DFS, which closes brackets no fooling set can.
+
+    The largest fooling set of circulant(6, q, small_q) is below its rank
+    for q = 3, 4, so the DFS must prove the rank itself.
+    """
+
+    @pytest.mark.parametrize(
+        "q, rank, seed, nodes",
+        [
+            (3, 7, 0, 6_839),
+            (3, 7, 1, 8_476),
+            (3, 7, 2, 24_229),
+            (3, 7, 3, 6_258),
+            (4, 8, 0, 2_451),
+            (4, 8, 1, 7_613),
+            (4, 8, 2, 8_836),
+            (4, 8, 3, 5_900),
+        ],
+    )
+    def test_circulant_small_q_node_counts(self, q, rank, seed, nodes):
+        m = circulant_isolation(6, q, allow_small_q=True)
+        if seed:
+            m = permute(m, seed)
+        result = boolean_rank_exact(m, RankBudget(max_nodes=100_000))
+        assert result.complete and result.optimum == result.lower_bound == rank
+        assert result.nodes_explored == nodes
+        assert cover_covers_exactly(m, result.witness)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_sibling_exclusion_keeps_the_optimum(self, rows):
+        # floor 0: no lower bound ends the search, so it must prove optimality
+        m = BoolMatrix.from_rows(rows)
+        w = m.n_cols
+        ones = [(i - 1, j - 1) for i, j in m.ones()]
+        full = sum(1 << i * w + j for i, j in ones)
+        compat = [0] * (m.n_rows * w)
+        for i, j in ones:
+            compat[i * w + j] = sum(
+                1 << i2 * w + j2 for i2, j2 in ones if not (rows[i][j2] and rows[i2][j])
+            )
+        rects, complete = _maximal_bicliques(m, 10**6)
+        assert complete
+        rect_masks = [sum(cmask << i * w for i in iter_bits(rmask)) for rmask, cmask in rects]
+
+        def witness(cover):
+            return [
+                ([i + 1 for i in iter_bits(rects[ri][0])], [j + 1 for j in iter_bits(rects[ri][1])])
+                for ri in cover
+            ]
+
+        cover, _, finished = _cover_search(rect_masks, full, compat, len(rects) + 1, 0, 10**7)
+        assert finished and len(cover) == naive_boolean_rank(rows)
+        assert cover_covers_exactly(m, witness(cover))
+        for max_nodes in (1, 5, 50):
+            cover, _, _ = _cover_search(rect_masks, full, compat, len(rects) + 1, 0, max_nodes)
+            assert cover is None or cover_covers_exactly(m, witness(cover))
 
 
 class TestMaximalBicliques:
