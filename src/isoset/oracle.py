@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from math import comb
 
@@ -523,6 +524,31 @@ def _factor_search(
     return cover, nodes, True
 
 
+def _greedy_cover(rect_masks: Sequence[int], full: int) -> list[int]:
+    """A greedy cover of the entry set ``full`` by ``rect_masks``, as indices.
+
+    Each round takes the rectangle holding the most uncovered entries, ties
+    to the lowest index.  Gains only fall as entries get covered, so a heap
+    of stale keys (-gain, index) holds a lower bound on every rectangle's
+    fresh key: the top is recounted and taken when its fresh key is still
+    no larger than the next stale one, and pushed back otherwise.  The
+    rectangles must cover ``full``.
+    """
+    heap = [(-(rm & full).bit_count(), ri) for ri, rm in enumerate(rect_masks)]
+    heapify(heap)
+    uncovered = full
+    picks = []
+    while uncovered:
+        _, ri = heappop(heap)
+        key = (-(rect_masks[ri] & uncovered).bit_count(), ri)
+        if heap and key > heap[0]:
+            heappush(heap, key)
+        else:
+            picks.append(ri)
+            uncovered &= ~rect_masks[ri]
+    return picks
+
+
 def _cover_search(
     rect_masks: list[int], full: int, compat: list[int], best: int, floor: int, max_nodes: int
 ) -> tuple[list[int] | None, int, bool]:
@@ -675,16 +701,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
 
     # every distinct row support is enumerated before the cap applies, and
     # its rectangle holds that whole row, so the greedy cover always ends
-    uncovered = full
-    greedy: list[int] = []
-    while uncovered:
-        gain, pick = 0, -1
-        for ri, rm in enumerate(rect_masks):
-            g = (rm & uncovered).bit_count()
-            if g > gain:
-                gain, pick = g, ri
-        greedy.append(pick)
-        uncovered &= ~rect_masks[pick]
+    greedy = _greedy_cover(rect_masks, full)
     if len(greedy) < len(best_cover):
         best_cover = [rects[ri] for ri in greedy]
     complete = len(best_cover) == lower

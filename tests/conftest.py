@@ -60,6 +60,21 @@ def naive_boolean_rank(grid):
     )
 
 
+def naive_greedy_cover(rect_masks, full):
+    """Greedy cover of the bits of full by rect_masks, as indices.
+
+    Every round rescans every mask and takes the first one holding the most
+    uncovered bits.
+    """
+    uncovered, picks = full, []
+    while uncovered:
+        gains = [(mask & uncovered).bit_count() for mask in rect_masks]
+        pick = gains.index(max(gains))
+        picks.append(pick)
+        uncovered &= ~rect_masks[pick]
+    return picks
+
+
 def permute(m, seed):
     """The rows and the columns of m, each in a seeded random order.
 

@@ -3,7 +3,9 @@
 import gc
 import tracemalloc
 from itertools import combinations
+from functools import reduce
 from math import comb
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -39,11 +41,12 @@ from isoset.oracle import (
     _antichain_bound,
     _cover_search,
     _factor_search,
+    _greedy_cover,
     _max_clique,
     _maximal_bicliques,
 )
 
-from conftest import naive_boolean_rank, naive_max_fooling_set, permute
+from conftest import naive_boolean_rank, naive_greedy_cover, naive_max_fooling_set, permute
 
 
 class TestCompatGraph:
@@ -575,6 +578,38 @@ class TestCoverSearch:
         for max_nodes in (1, 5, 50):
             cover, _, _ = _cover_search(rect_masks, full, compat, len(rects) + 1, 0, max_nodes)
             assert cover is None or cover_covers_exactly(m, witness(cover))
+
+
+class TestGreedyCover:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=30),
+        st.integers(0, (1 << 12) - 1),
+    )
+    def test_picks_match_full_rescan(self, rect_masks, keep):
+        # 12-bit masks tie often, so the tie rule is exercised
+        full = reduce(or_, rect_masks) & keep
+        assert _greedy_cover(rect_masks, full) == naive_greedy_cover(rect_masks, full)
+
+    @pytest.mark.slow
+    def test_A_10_3_capped(self):
+        # the factor search exhausts its 2,000 nodes at r = 9 and the 50,000
+        # enumerated rectangles reach no star, so the greedy cover's 117 stands
+        # (about 4 s; a full rescan every round took about 11 s)
+        m = build_A(10, 3)
+        result = boolean_rank_exact(m, RankBudget(max_nodes=2_000))
+        assert not result.complete
+        assert (result.lower_bound, result.optimum, result.nodes_explored) == (9, 117, 2_001)
+        rects, _ = _maximal_bicliques(m, RankBudget().max_bicliques)
+        w = m.n_cols
+        rect_masks = [sum(cmask << i * w for i in iter_bits(rmask)) for rmask, cmask in rects]
+        full = sum(row << i * w for i, row in enumerate(m.rows))
+        picks = naive_greedy_cover(rect_masks, full)
+        assert result.witness == tuple(
+            (tuple(i + 1 for i in iter_bits(rects[ri][0])),
+             tuple(j + 1 for j in iter_bits(rects[ri][1])))
+            for ri in picks
+        )
 
 
 class TestMaximalBicliques:
