@@ -6,6 +6,7 @@ also carries a wall-clock ceiling, asserted here.  Run with
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from isoset import (
 from isoset.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 K12_T4_REFERENCE_ROWS = [
     (1, 8, 9, 10), (2, 8, 9, 10), (3, 8, 9, 10), (4, 8, 9, 10), (5, 8, 9, 10),
@@ -52,10 +54,13 @@ K12_T4_REFERENCE_COLS = [
 
 
 def cli(*argv: str) -> tuple[int, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "isoset.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout
 
