@@ -534,7 +534,7 @@ def _greedy_cover(rect_masks: Sequence[int], full: int) -> list[int]:
     no larger than the next stale one, and pushed back otherwise.  The
     rectangles must cover ``full``.
     """
-    heap = [(-(rm & full).bit_count(), ri) for ri, rm in enumerate(rect_masks)]
+    heap = [(-rm.bit_count(), ri) for ri, rm in enumerate(rect_masks)]
     heapify(heap)
     uncovered = full
     picks = []

@@ -595,7 +595,7 @@ class TestGreedyCover:
     def test_A_10_3_capped(self):
         # the factor search exhausts its 2,000 nodes at r = 9 and the 50,000
         # enumerated rectangles reach no star, so the greedy cover's 117 stands
-        # (about 4 s; a full rescan every round took about 11 s)
+        # (the call takes about 3 s, the full-rescan reference about 10 s)
         m = build_A(10, 3)
         result = boolean_rank_exact(m, RankBudget(max_nodes=2_000))
         assert not result.complete
