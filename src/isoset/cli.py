@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, search, rank, table.
 
-Exit codes: 0 ok, 1 pattern violation, 2 range error, 3 parse error,
-4 incomplete search.
+Exit codes: 0 ok, 1 pattern violation, 2 range error or unwritable output
+path, 3 parse error, 4 incomplete search.  Library errors map to their
+codes in ``main``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ def _positive_int(text: str) -> int:
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise RangeError(f"cannot write {out}: {exc}") from exc
 
 
 def _require(args, names: list[str], kind: str) -> list[int]:
@@ -90,31 +94,28 @@ def _require(args, names: list[str], kind: str) -> list[int]:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        if args.kind == "circulant":
-            p, q = _require(args, ["p", "q"], "circulant")
-            if args.format == "json":
-                return _fail(EXIT_RANGE, "circulant emits a matrix document; use --format grid")
-            text = matrix_to_text(circulant_isolation(p, q))
+    if args.kind == "circulant":
+        p, q = _require(args, ["p", "q"], "circulant")
+        if args.format == "json":
+            return _fail(EXIT_RANGE, "circulant emits a matrix document; use --format grid")
+        text = matrix_to_text(circulant_isolation(p, q))
+    else:
+        if args.kind == "identity":
+            k, t = _require(args, ["k", "t"], "identity")
+            fp = identity_family(k, t)
+        elif args.kind == "isolation":
+            k, t = _require(args, ["k", "t"], "isolation")
+            fp = isolation_construct(k, t)
         else:
-            if args.kind == "identity":
-                k, t = _require(args, ["k", "t"], "identity")
-                fp = identity_family(k, t)
-            elif args.kind == "isolation":
-                k, t = _require(args, ["k", "t"], "isolation")
-                fp = isolation_construct(k, t)
-            else:
-                a, b = _require(args, ["a", "b"], "triangular")
-                fp = triangular_family(a, b)
-            fmt = args.format or "both"
-            parts = []
-            if fmt in ("json", "both"):
-                parts.append(family_to_json(fp))
-            if fmt in ("grid", "both"):
-                parts.append(matrix_to_text(family_to_matrix(fp)))
-            text = "".join(parts)
-    except (RangeError, ResourceLimitError) as exc:
-        return _fail(EXIT_RANGE, str(exc))
+            a, b = _require(args, ["a", "b"], "triangular")
+            fp = triangular_family(a, b)
+        fmt = args.format or "both"
+        parts = []
+        if fmt in ("json", "both"):
+            parts.append(family_to_json(fp))
+        if fmt in ("grid", "both"):
+            parts.append(matrix_to_text(family_to_matrix(fp)))
+        text = "".join(parts)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -122,18 +123,15 @@ def _cmd_construct(args) -> int:
 def _load_matrix(path: str) -> BoolMatrix:
     """Read a family or matrix document; a family yields its realized matrix."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     obj = load_document(text)
     return family_to_matrix(obj) if isinstance(obj, FamilyPair) else obj
 
 
 def _cmd_verify(args) -> int:
-    try:
-        m = _load_matrix(args.input)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    m = _load_matrix(args.input)
     try:
         cert = _CHECKS[args.pattern](m)
     except ValueError as exc:
@@ -148,18 +146,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     budget = RankBudget(max_nodes=args.max_nodes)
-    try:
-        if args.kind == "triangular":
-            if args.a is None or args.b is None or args.k is None:
-                raise RangeError("search triangular requires --a --b --k")
-            result = max_triangular_bruteforce(args.a, args.b, args.k, budget)
-        else:
-            if args.k is None or args.t is None:
-                raise RangeError(f"search {args.kind} requires --k --t")
-            search = max_isolation_bruteforce if args.kind == "isolation" else max_identity_bruteforce
-            result = search(args.k, args.t, budget)
-    except (RangeError, ResourceLimitError) as exc:
-        return _fail(EXIT_RANGE, str(exc))
+    if args.kind == "triangular":
+        if args.a is None or args.b is None or args.k is None:
+            raise RangeError("search triangular requires --a --b --k")
+        result = max_triangular_bruteforce(args.a, args.b, args.k, budget)
+    else:
+        if args.k is None or args.t is None:
+            raise RangeError(f"search {args.kind} requires --k --t")
+        search = max_isolation_bruteforce if args.kind == "isolation" else max_identity_bruteforce
+        result = search(args.k, args.t, budget)
     print(result.optimum if result.complete else f">= {result.optimum}")
     print(f"nodes {result.nodes_explored}")
     if args.witness_out:
@@ -170,22 +165,14 @@ def _cmd_search(args) -> int:
 
 def _cmd_rank(args) -> int:
     budget = RankBudget(max_nodes=args.max_nodes, max_bicliques=args.max_bicliques)
-    try:
-        if args.gen_A:
-            k, t = args.gen_A
-            m = build_A(k, t)
-        elif args.input:
-            m = _load_matrix(args.input)
-        else:
-            return _fail(EXIT_RANGE, "rank requires an input path or --gen-A K T")
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except (RangeError, ResourceLimitError) as exc:
-        return _fail(EXIT_RANGE, str(exc))
-    try:
-        result = boolean_rank_exact(m, budget)
-    except ResourceLimitError as exc:
-        return _fail(EXIT_RANGE, str(exc))
+    if args.gen_A:
+        k, t = args.gen_A
+        m = build_A(k, t)
+    elif args.input:
+        m = _load_matrix(args.input)
+    else:
+        return _fail(EXIT_RANGE, "rank requires an input path or --gen-A K T")
+    result = boolean_rank_exact(m, budget)
     if result.complete:
         print(f"rank {result.optimum}")
     else:
@@ -220,11 +207,8 @@ def _cmd_table(args) -> int:
     print(header)
     budget = RankBudget(max_nodes=args.max_nodes)
     for k in range(lo, hi + 1):
-        try:
-            size = isolation_size(k, args.t)
-            regime = isolation_regime(k, args.t)
-        except RangeError as exc:
-            return _fail(EXIT_RANGE, str(exc))
+        size = isolation_size(k, args.t)
+        regime = isolation_regime(k, args.t)
         line = f"{k:>4} {size:>5}  {regime:<11}"
         if args.oracle:
             try:
@@ -299,7 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         max_dimension()  # a malformed ISOSET_MAX_DIM is a range error for every verb
     except ValueError as exc:
         return _fail(EXIT_RANGE, str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        return _fail(EXIT_PARSE, str(exc))
+    except (RangeError, ResourceLimitError) as exc:
+        return _fail(EXIT_RANGE, str(exc))
 
 
 if __name__ == "__main__":

@@ -112,32 +112,37 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
     return CompatGraph(vertices, tuple(_compatible(pairs, pairs, identity)))
 
 
-def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[int], int, bool]:
+def _max_clique(
+    adj: Sequence[int], vertices: int, max_nodes: int, floor: int
+) -> tuple[list[int], int, bool]:
     """Branch-and-bound maximum clique with greedy-coloring bounds.
 
-    Only cliques with more than ``floor`` vertices are sought: a caller that
+    The graph is ``adj`` restricted to the set bits of ``vertices``.  Only
+    cliques with more than ``floor`` vertices are sought: a caller that
     already holds a clique of that size passes it as the floor, and every
-    branch that cannot beat it is pruned.  The adjacency arrives in search
-    order: the caller numbers vertices by non-increasing degree, ties by
-    pair order (the orbit search) or by entry bit (the fooling-set bound of
-    boolean_rank_exact), and a greedy clique taken in that order seeds the
-    incumbent when it beats the floor.  At every node the candidates are
-    sorted by degree within the candidate set, colored greedily in that
-    order, and branched in reverse color order; a vertex of color c cannot
-    extend the clique by more than c.  All orderings are index-tiebroken,
-    so node counts are reproducible.  Returns (best clique above the floor
-    as sorted vertex ids, or [] if none was found, nodes, complete).
+    branch that cannot beat it is pruned.  The vertices are ranked once by
+    non-increasing degree, ties by index, and a greedy clique taken in rank
+    order seeds the incumbent when it beats the floor.  At every node the
+    candidates are sorted by degree within the candidate set, colored
+    greedily in that order, and branched in reverse color order; a vertex
+    of color c cannot extend the clique by more than c.  Both sorts break
+    ties by rank, so node counts are reproducible.  Returns (best clique
+    above the floor as sorted vertex ids, or [] if none was found, nodes,
+    complete).
     """
-    n = len(adj)
-    if n == 0:
+    if not vertices:
         return [], 0, True
 
-    cand = (1 << n) - 1
+    order = sorted(iter_bits(vertices), key=lambda v: -(adj[v] & vertices).bit_count())
+    rank = [0] * len(adj)
+    for r, v in enumerate(order):
+        rank[v] = r
+    cand = vertices
     greedy: list[int] = []
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        greedy.append(v)
-        cand &= adj[v]
+    for v in order:  # cand only shrinks, so one pass meets its lowest-rank vertex first
+        if cand >> v & 1:
+            greedy.append(v)
+            cand &= adj[v]
     best: list[int] = greedy if len(greedy) > floor else []
     target = max(floor, len(best))  # size a new clique must exceed
 
@@ -150,7 +155,7 @@ def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[in
         if nodes > max_nodes:
             raise _BudgetExhausted
         vs = list(iter_bits(cand))
-        vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), v))
+        vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), rank[v]))
         color_of = {}
         classes: list[int] = []
         for v in vs:
@@ -162,7 +167,7 @@ def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[in
             else:
                 classes.append(1 << v)
                 color_of[v] = len(classes)
-        vs.sort(key=lambda v: (color_of[v], v))
+        vs.sort(key=lambda v: (color_of[v], rank[v]))
         p = cand
         for v in reversed(vs):
             if len(clique) + color_of[v] <= target:
@@ -181,7 +186,7 @@ def _max_clique(adj: Sequence[int], max_nodes: int, floor: int) -> tuple[list[in
 
     complete = True
     try:
-        expand((1 << n) - 1)
+        expand(vertices)
     except _BudgetExhausted:
         complete = False
     del expand  # break the closure's reference to itself
@@ -209,10 +214,8 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
     for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
         sub = [pairs[i] for i in iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
-        degree = [a.bit_count() for a in _compatible(sub, sub, identity)]
-        sub = [sub[v] for v in sorted(range(len(sub)), key=lambda v: -degree[v])]  # stable
         clique, used, complete = _max_clique(
-            _compatible(sub, sub, identity), max_nodes - nodes, len(best) - 1
+            _compatible(sub, sub, identity), (1 << len(sub)) - 1, max_nodes - nodes, len(best) - 1
         )
         nodes += used
         if len(clique) + 1 > len(best):
@@ -644,8 +647,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     cap), and a greedy cover by them may lower the upper bound.  The greedy
     isolation set depends on the order of rows and columns, so a larger
     fooling set is sought next: a maximum clique of the ones, two ones
-    adjacent when no all-ones rectangle holds both, numbered by
-    non-increasing degree with ties by entry bit.  Any clique above lb
+    adjacent when no all-ones rectangle holds both.  Any clique above lb
     raises it, even when the clique search runs out of budget.  A bracket
     open after that goes to branch-and-bound set cover over the 1-entries
     by the maximal rectangles, branching on the uncovered entry contained
@@ -716,10 +718,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
                 compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget
-        order = sorted(iter_bits(full), key=lambda x: -compat[x].bit_count())  # ties by entry bit
-        vertex = {x: v for v, x in enumerate(order)}
-        adj = [sum(1 << vertex[y] for y in iter_bits(compat[x])) for x in order]
-        clique, used, _ = _max_clique(adj, budget.max_nodes - nodes, lower)
+        clique, used, _ = _max_clique(compat, full, budget.max_nodes - nodes, lower)
         nodes += used
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower

@@ -94,6 +94,13 @@ class TestConstruct:
 
         assert family_from_json(path.read_text()) == identity_family(6, 2)
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "fam.json"
+        code = main(["construct", "identity", "--k", "6", "--t", "2", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}") and len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_family_ok(self, capsys, tmp_path):
@@ -128,6 +135,14 @@ class TestVerify:
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _ = run(capsys, "verify", "isolation", str(tmp_path / "nope"))
         assert code == 3
+
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 1\n\xff\n")
+        code = main(["verify", "isolation", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: cannot read {path}") and len(err.splitlines()) == 1
 
     def test_zero_pair_document_exit_3(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -174,6 +189,13 @@ class TestSearch:
     def test_missing_params_exit_2(self, capsys):
         code, _ = run(capsys, "search", "isolation", "--k", "5")
         assert code == 2
+
+    def test_unwritable_witness_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "witness.json"
+        code = main(["search", "isolation", "--k", "5", "--t", "2", "--witness-out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}") and len(err.splitlines()) == 1
 
     def test_triangular_one_node_budget_writes_one_pair(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
@@ -262,6 +284,14 @@ class TestRank:
         path.write_text("oops")
         code, _ = run(capsys, "rank", str(path))
         assert code == 3
+
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 1\n\xff\n")
+        code = main(["rank", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: cannot read {path}") and len(err.splitlines()) == 1
 
     def test_zero_pair_document_exit_3(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

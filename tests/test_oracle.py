@@ -36,6 +36,7 @@ from isoset import (
     verify_triangular,
 )
 
+from isoset import oracle
 from isoset.core import iter_bits
 from isoset.oracle import (
     _antichain_bound,
@@ -156,6 +157,14 @@ class TestMaxIsolation:
         assert result.optimum == 7
         assert result.nodes_explored == 114_866
         assert verify_isolation(result.witness).ok
+
+    @pytest.mark.parametrize("k, t, orbits", [(8, 3, 3), (7, 2, 2)])
+    def test_each_orbit_subgraph_is_built_once(self, k, t, orbits):
+        # one call finds the representatives' neighbours, then one per orbit
+        with mock.patch("isoset.oracle._compatible", wraps=oracle._compatible) as spy:
+            result = max_isolation_bruteforce(k, t)
+        assert result.complete
+        assert spy.call_count == 1 + orbits
 
     @pytest.mark.parametrize("search", [max_isolation_bruteforce, max_identity_bruteforce])
     def test_dimension_cap(self, search, monkeypatch):
@@ -325,6 +334,26 @@ class TestBooleanRank:
         finally:
             tracemalloc.stop()
         assert result.complete and result.optimum == 25
+        assert peak < 1 << 20
+
+    def test_spread_matrix_memory_follows_its_ones_in_the_searches(self):
+        # the diagonal above closes at the root bounds; circulant(6, 4, small_q)
+        # needs the fooling-set clique and the cover DFS, and with its rows and
+        # columns spread to 100 * i every entry set spans a million cells
+        # under the grid numbering
+        small = circulant_isolation(6, 4, allow_small_q=True)
+        rows = [0] * 1000
+        for i, row in enumerate(small.rows):
+            rows[100 * i] = sum(1 << 100 * j for j in iter_bits(row))
+        m = BoolMatrix(1000, 1000, tuple(rows))
+        tracemalloc.start()
+        try:
+            result = boolean_rank_exact(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.complete and result.optimum == 8
+        assert result.nodes_explored == 2_451
         assert peak < 1 << 20
 
     def test_ones_cap(self, monkeypatch):
@@ -693,9 +722,9 @@ class TestMaxFoolingSet:
         m = BoolMatrix.from_rows(rows)
         calls = []
 
-        def spy(adj, max_nodes, floor):
-            found = _max_clique(adj, max_nodes, floor)
-            calls.append((adj, floor, found))
+        def spy(adj, vertices, max_nodes, floor):
+            found = _max_clique(adj, vertices, max_nodes, floor)
+            calls.append((adj, vertices, floor, found))
             return found
 
         with mock.patch("isoset.oracle._max_clique", spy):
@@ -703,12 +732,12 @@ class TestMaxFoolingSet:
         fooling, largest, rank = (
             fooling_lower_bound(m), naive_max_fooling_set(rows), naive_boolean_rank(rows)
         )
-        for adj, floor, (clique, _, complete) in calls:
+        for adj, vertices, floor, (clique, _, complete) in calls:
             bound = max(floor, len(clique))
             assert fooling <= bound <= rank
             if complete:
                 assert bound == max(floor, largest)
-            assert len(_max_clique(adj, 10**6, 0)[0]) == largest
+            assert len(_max_clique(adj, vertices, 10**6, 0)[0]) == largest
         for max_nodes in (1, 2, 5, 20):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             if not result.complete:
