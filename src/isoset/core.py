@@ -96,28 +96,8 @@ class Subset:
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.universe and bool(self.bits >> (element - 1) & 1)
 
-    def intersects(self, other: "Subset") -> bool:
-        return intersects(self, other)
-
-    def union(self, other: "Subset") -> "Subset":
-        _check_same_universe(self, other)
-        return Subset(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        _check_same_universe(self, other)
-        return Subset(self.universe, self.bits & other.bits)
-
-    def complement(self) -> "Subset":
-        full = (1 << self.universe) - 1
-        return Subset(self.universe, full & ~self.bits)
-
     def __repr__(self) -> str:
         return f"Subset({{{', '.join(map(str, self.elements()))}}}, universe={self.universe})"
-
-
-def _check_same_universe(a: Subset, b: Subset) -> None:
-    if a.universe != b.universe:
-        raise ValueError(f"universe mismatch: {a.universe} != {b.universe}")
 
 
 def intersects(a: Subset, b: Subset) -> bool:
@@ -125,7 +105,8 @@ def intersects(a: Subset, b: Subset) -> bool:
 
     Raises ValueError if the subsets live in different universes.
     """
-    _check_same_universe(a, b)
+    if a.universe != b.universe:
+        raise ValueError(f"universe mismatch: {a.universe} != {b.universe}")
     return bool(a.bits & b.bits)
 
 
@@ -322,6 +303,17 @@ def enumerate_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
     return tuple(Subset.of(c, k) for c in combos)
 
 
+def _capped_t_subsets(k: int, t: int, max_dim: int | None = None) -> tuple[Subset, ...]:
+    """enumerate_t_subsets(k, t), refused when C(k, t) exceeds ``max_dim``.
+
+    An out-of-range (k, t) skips the cap, so enumerate_t_subsets raises
+    RangeError before math.comb sees a negative argument.
+    """
+    if k >= t >= 1:
+        check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
+    return enumerate_t_subsets(k, t)
+
+
 def _element_index(groups: Iterable[tuple[int, int]]) -> dict[int, int]:
     """Map each 0-based element to the positions of the subsets holding it.
 
@@ -359,6 +351,5 @@ def build_A(k: int, t: int, max_dim: int | None = None) -> BoolMatrix:
     symmetric with an all-ones diagonal.  Refuses instances whose dimension
     (k choose t) exceeds ``max_dim`` (default: max_dimension()).
     """
-    check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
-    subsets = enumerate_t_subsets(k, t)
+    subsets = _capped_t_subsets(k, t, max_dim)
     return realize(subsets, subsets)

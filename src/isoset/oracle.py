@@ -10,7 +10,7 @@ identical inputs yield identical results including node counts.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
@@ -22,9 +22,9 @@ from .core import (
     RangeError,
     SearchResult,
     Subset,
+    _capped_t_subsets,
     _element_index,
     check_cap,
-    enumerate_t_subsets,
     iter_bits,
 )
 
@@ -59,14 +59,47 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Nodes:
+    """The node budget of one search call, shared by all of its stages.
+
+    A search counts each node with ``tick``, which raises _BudgetExhausted
+    at the first node past ``max_nodes``; ``run`` turns that into a flag.
+    The count stops at that node, and a stage skipped on a spent budget
+    counts it too, so an exhausted call reports max_nodes + 1 nodes.
+    """
+
+    def __init__(self, max_nodes: int) -> None:
+        self.max_nodes = max_nodes
+        self.count = 0
+
+    def left(self) -> bool:
+        """Whether a node is left; if not, count the node a stage would stop on."""
+        if self.count < self.max_nodes:
+            return True
+        self.count = self.max_nodes + 1
+        return False
+
+    def tick(self) -> None:
+        if not self.left():
+            raise _BudgetExhausted
+        self.count += 1
+
+    def run(self, search: Callable[..., object], *args: object) -> bool:
+        """Call search(*args); False when the budget ran out inside it."""
+        try:
+            search(*args)
+        except _BudgetExhausted:
+            return False
+        return True
+
+
 def _intersecting_pairs(k: int, t: int, max_dim: int | None = None) -> list[tuple[int, int]]:
     """The 1-entries (x, y) of A(k, t) as bit masks, in colex pair order.
 
     The column subset is the outer key; both run in colex subset order.
     Raises ResourceLimitError when C(k, t) exceeds the dimension cap.
     """
-    check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
-    masks = [s.bits for s in enumerate_t_subsets(k, t)]
+    masks = [s.bits for s in _capped_t_subsets(k, t, max_dim)]
     return [(x, y) for y in masks for x in masks if x & y]
 
 
@@ -113,8 +146,8 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
 
 
 def _max_clique(
-    adj: Sequence[int], vertices: int, max_nodes: int, floor: int
-) -> tuple[list[int], int, bool]:
+    adj: Sequence[int], vertices: int, nodes: _Nodes, floor: int
+) -> tuple[list[int], bool]:
     """Branch-and-bound maximum clique with greedy-coloring bounds.
 
     The graph is ``adj`` restricted to the set bits of ``vertices``.  Only
@@ -127,11 +160,11 @@ def _max_clique(
     greedily in that order, and branched in reverse color order; a vertex
     of color c cannot extend the clique by more than c.  Both sorts break
     ties by rank, so node counts are reproducible.  Returns (best clique
-    above the floor as sorted vertex ids, or [] if none was found, nodes,
+    above the floor as sorted vertex ids, or [] if none was found,
     complete).
     """
     if not vertices:
-        return [], 0, True
+        return [], True
 
     order = sorted(iter_bits(vertices), key=lambda v: -(adj[v] & vertices).bit_count())
     rank = [0] * len(adj)
@@ -146,14 +179,11 @@ def _max_clique(
     best: list[int] = greedy if len(greedy) > floor else []
     target = max(floor, len(best))  # size a new clique must exceed
 
-    nodes = 0
     clique: list[int] = []
 
     def expand(cand: int) -> None:
-        nonlocal nodes, best, target
-        nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
+        nonlocal best, target
+        nodes.tick()
         vs = list(iter_bits(cand))
         vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), rank[v]))
         color_of = {}
@@ -184,13 +214,9 @@ def _max_clique(
             if len(clique) + p.bit_count() <= target:
                 return
 
-    complete = True
-    try:
-        expand(vertices)
-    except _BudgetExhausted:
-        complete = False
+    complete = nodes.run(expand, vertices)
     del expand  # break the closure's reference to itself
-    return sorted(best), nodes, complete
+    return sorted(best), complete
 
 
 def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> SearchResult:
@@ -208,16 +234,15 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     """
     pairs = _intersecting_pairs(k, t)
     best: list[tuple[int, int]] = []
-    nodes = 0
+    nodes = _Nodes(max_nodes)
     complete = True
     orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
     for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
         sub = [pairs[i] for i in iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
-        clique, used, complete = _max_clique(
-            _compatible(sub, sub, identity), (1 << len(sub)) - 1, max_nodes - nodes, len(best) - 1
+        clique, complete = _max_clique(
+            _compatible(sub, sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1
         )
-        nodes += used
         if len(clique) + 1 > len(best):
             best = [rep] + [sub[v] for v in clique]
         if not complete:
@@ -227,7 +252,7 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     cols = tuple(Subset(k, y) for _, y in best)
     kind = "identity" if identity else "isolation"
     witness = FamilyPair(k, t, t, rows, cols, {"search": kind, "k": k, "t": t})
-    return SearchResult(len(best), witness, nodes, complete)
+    return SearchResult(len(best), witness, nodes.count, complete)
 
 
 def max_isolation_bruteforce(k: int, t: int, budget: RankBudget | None = None) -> SearchResult:
@@ -276,7 +301,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         for c in range(1, min(a, b) + 1)
         if a + b - c <= k
     ]
-    nodes = 0
+    nodes = _Nodes(budget.max_nodes)
     best: tuple = (firsts[0][:2],)  # a single meeting pair is already triangular
     path: list[tuple[int, int]] = []
     visited: set = set()
@@ -312,10 +337,8 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         return out
 
     def extend(union_a: int, bs: tuple[int, ...], u: int) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise _BudgetExhausted
+        nonlocal best
+        nodes.tick()
         if len(path) > len(best):
             best = tuple(path)
         key = (union_a, frozenset(bs))
@@ -328,17 +351,13 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
             extend(union_a | amask, bs + (bmask,), u2)
             path.pop()
 
-    complete = True
-    try:
-        extend(0, (), 0)
-    except _BudgetExhausted:
-        complete = False
+    complete = nodes.run(extend, 0, (), 0)
     del extend  # break the closure's reference to itself
 
     rows = tuple(Subset(k, amask) for amask, _ in best)
     cols = tuple(Subset(k, bmask) for _, bmask in best)
     witness = FamilyPair(k, a, b, rows, cols, {"search": "triangular", "a": a, "b": b, "k": k})
-    return SearchResult(len(best), witness, nodes, complete)
+    return SearchResult(len(best), witness, nodes.count, complete)
 
 
 def fooling_lower_bound(m: BoolMatrix) -> int:
@@ -424,8 +443,8 @@ def _down_set(u: int) -> int:
 
 
 def _factor_search(
-    m: BoolMatrix, r: int, max_nodes: int
-) -> tuple[list[tuple[int, int]] | None, int, bool]:
+    m: BoolMatrix, r: int, nodes: _Nodes
+) -> tuple[list[tuple[int, int]] | None, bool]:
     """A cover of m by r rectangles, searched as row sets X_i of inner indices [r].
 
     rank(m) <= r iff rows and columns get subsets of [r] whose intersection
@@ -447,8 +466,8 @@ def _factor_search(
     antichain first fits (the t-sets of the element stars for A(k, t)).
 
     Returns (rectangle l = (rows whose set holds l, their common columns)
-    for l = 0..r-1, or None; nodes; complete).  None with complete=True
-    refutes rank <= r.
+    for l = 0..r-1, or None; complete).  None with complete=True refutes
+    rank <= r.
     """
     rows = list(dict.fromkeys(mask for mask in m.rows if mask))
     live = 0  # the columns holding a one
@@ -475,13 +494,9 @@ def _factor_search(
 
     xs: list[int] = []
     unions = [0] * m.n_cols
-    nodes = 0
 
     def assign(used: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
+        nodes.tick()
         i = len(xs)
         if i == len(rows):
             return True
@@ -507,14 +522,11 @@ def _factor_search(
                     unions[j] = u
         return False
 
-    found, complete = False, True
-    try:
-        found = assign(0)
-    except _BudgetExhausted:
-        complete = False
+    complete = nodes.run(assign, 0)
     del assign  # break the closure's reference to itself
-    if not found:
-        return None, nodes, complete
+    # a finished search that failed popped every set it placed
+    if not complete or len(xs) < len(rows):
+        return None, complete
     x_of = dict(zip(rows, xs))
     cover = []
     for index in range(r):
@@ -524,7 +536,7 @@ def _factor_search(
                 rmask |= 1 << i
                 cmask &= row
         cover.append((rmask, cmask))
-    return cover, nodes, True
+    return cover, True
 
 
 def _greedy_cover(rect_masks: Sequence[int], full: int) -> list[int]:
@@ -553,8 +565,8 @@ def _greedy_cover(rect_masks: Sequence[int], full: int) -> list[int]:
 
 
 def _cover_search(
-    rect_masks: list[int], full: int, compat: list[int], best: int, floor: int, max_nodes: int
-) -> tuple[list[int] | None, int, bool]:
+    rect_masks: list[int], full: int, compat: list[int], best: int, floor: int, nodes: _Nodes
+) -> tuple[list[int] | None, bool]:
     """Branch-and-bound set cover of the entry set ``full`` by ``rect_masks``.
 
     Seeks covers by fewer than ``best`` rectangles, branching on the
@@ -568,8 +580,8 @@ def _cover_search(
     subtrees, since every cover that holds it and a later sibling's
     rectangle was already searched in its own subtree.  A cover by
     ``floor`` rectangles, a proven lower bound, ends the search.  Returns
-    (the best cover found as rectangle indices, or None; nodes; whether the
-    search finished).
+    (the best cover found as rectangle indices, or None; whether the search
+    finished).
     """
     entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
     for ri, rm in enumerate(rect_masks):
@@ -590,15 +602,12 @@ def _cover_search(
             allowed &= compat[low.bit_length() - 1]
         return count
 
-    nodes = 0
     chosen: list[int] = []
     cover: list[int] | None = None
 
     def dfs(covered: int, banned: int) -> bool:
-        nonlocal nodes, best, cover
-        nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
+        nonlocal best, cover
+        nodes.tick()
         if covered == full:
             if len(chosen) < best:
                 best, cover = len(chosen), chosen.copy()
@@ -622,13 +631,9 @@ def _cover_search(
             banned |= 1 << ri
         return False
 
-    finished = True
-    try:
-        dfs(0, 0)
-    except _BudgetExhausted:
-        finished = False
+    finished = nodes.run(dfs, 0, 0)
     del dfs  # break the closure's reference to itself
-    return cover, nodes, finished
+    return cover, finished
 
 
 def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> SearchResult:
@@ -653,8 +658,8 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     by the maximal rectangles, branching on the uncovered entry contained
     in the fewest rectangles, skipping the rectangles an earlier sibling
     already tried, pruning with a greedy isolation-set bound, and stopping
-    at a cover of lb rectangles.  All three searches draw on
-    one node budget; a search stage skipped on a spent budget counts the
+    at a cover of lb rectangles.  All three searches tick one node counter
+    of max_nodes; a stage that finds no node left is skipped and counts the
     node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
@@ -676,15 +681,15 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     cols = m.transpose().rows
     fooling = fooling_lower_bound(m)
     lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(cols))
-    nodes = 0
+    nodes = _Nodes(budget.max_nodes)
     if fooling < lower < len(best_cover):
-        found, nodes, refuted = _factor_search(m, lower, budget.max_nodes)
+        found, refuted = _factor_search(m, lower, nodes)
         if found is not None:
             best_cover = found
         elif refuted:
             lower += 1
     if len(best_cover) == lower:
-        return _rank_result(m, best_cover, nodes, True, lower)
+        return _rank_result(m, best_cover, nodes.count, True, lower)
 
     rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
     # the entry set of the ones of row i in cols, a subset of row i
@@ -708,7 +713,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         best_cover = [rects[ri] for ri in greedy]
     complete = len(best_cover) == lower
 
-    if not complete and nodes < budget.max_nodes:
+    if not complete and nodes.left():
         # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
         # which also holds when they share a row or a column
         compat = [0] * full.bit_length()
@@ -718,22 +723,16 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
                 compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget
-        clique, used, _ = _max_clique(compat, full, budget.max_nodes - nodes, lower)
-        nodes += used
+        clique, _ = _max_clique(compat, full, nodes, lower)
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
-        if not complete and nodes < budget.max_nodes:
-            chosen, used, finished = _cover_search(
-                rect_masks, full, compat, len(best_cover), lower, budget.max_nodes - nodes
-            )
-            nodes += used
-            if chosen is not None:
-                best_cover = [rects[ri] for ri in chosen]
-            complete = len(best_cover) == lower or (finished and enum_complete)
-            return _rank_result(m, best_cover, nodes, complete, lower)
-    if not complete:  # a stage was skipped on a spent budget
-        nodes = max(nodes, budget.max_nodes + 1)
-    return _rank_result(m, best_cover, nodes, complete, lower)
+    # the count only grows, so the clique stage, which built compat, ran
+    if not complete and nodes.left():
+        chosen, finished = _cover_search(rect_masks, full, compat, len(best_cover), lower, nodes)
+        if chosen is not None:
+            best_cover = [rects[ri] for ri in chosen]
+        complete = len(best_cover) == lower or (finished and enum_complete)
+    return _rank_result(m, best_cover, nodes.count, complete, lower)
 
 
 def _rank_result(

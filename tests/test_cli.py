@@ -72,6 +72,10 @@ class TestConstruct:
         for argv in [
             ("construct", "identity", "--k", "3", "--t", "2"),
             ("construct", "triangular", "--a", "10", "--b", "10"),  # over the size cap
+            # a negative k or t is refused before C(k, t) is taken
+            ("rank", "--gen-A", "5", "-1"),
+            ("search", "isolation", "--k", "5", "--t", "-1"),
+            ("search", "identity", "--k", "-2", "--t", "1"),
         ]:
             code, _ = run(capsys, *argv)
             assert code == 2, argv

@@ -45,6 +45,7 @@ from isoset.oracle import (
     _greedy_cover,
     _max_clique,
     _maximal_bicliques,
+    _Nodes,
 )
 
 from conftest import naive_boolean_rank, naive_greedy_cover, naive_max_fooling_set, permute
@@ -260,6 +261,9 @@ def j_minus_i(n: int) -> BoolMatrix:
     return BoolMatrix.from_rows([[int(i != j) for j in range(n)] for i in range(n)])
 
 
+CIRCULANT_6_4 = circulant_isolation(6, 4, allow_small_q=True)
+
+
 def cover_covers_exactly(m: BoolMatrix, cover) -> bool:
     """Independent check: rectangles are all-ones and their union is the ones of m."""
     covered = set()
@@ -453,8 +457,9 @@ class TestRankOfA:
     # lb 7 before it searches r = 8, so this calls the factor search directly;
     # test_rank_is_k pins A(5..7, 2), where middle first needs 37,406 nodes at k = 6
     def test_factor_search_starts_at_the_star_layer(self):
-        cover, used, complete = _factor_search(build_A(8, 2), 8, 10**6)
-        assert complete and len(cover) == 8 and used == 29
+        nodes = _Nodes(10**6)
+        cover, complete = _factor_search(build_A(8, 2), 8, nodes)
+        assert complete and len(cover) == 8 and nodes.count == 29
 
     @pytest.mark.parametrize("m", [build_A(6, 3), j_minus_i(9)], ids=["A(6,3)", "J9-I9"])
     def test_certified_without_enumerating_rectangles(self, m):
@@ -532,13 +537,13 @@ class TestFactorSearch:
     def test_finds_at_rank_and_refutes_below(self, rows):
         m = BoolMatrix.from_rows(rows)
         rank = naive_boolean_rank(rows)
-        cover, _, complete = _factor_search(m, rank, 10**6)
+        cover, complete = _factor_search(m, rank, _Nodes(10**6))
         assert complete and len(cover) == rank
         cells = {(i, j) for rmask, cmask in cover for i in range(m.n_rows) if rmask >> i & 1
                  for j in range(m.n_cols) if cmask >> j & 1}
         assert cells == {(i - 1, j - 1) for i, j in m.ones()}
         if rank:
-            assert _factor_search(m, rank - 1, 10**6)[::2] == (None, True)
+            assert _factor_search(m, rank - 1, _Nodes(10**6)) == (None, True)
 
 
 class TestCoverSearch:
@@ -601,11 +606,15 @@ class TestCoverSearch:
                 for ri in cover
             ]
 
-        cover, _, finished = _cover_search(rect_masks, full, compat, len(rects) + 1, 0, 10**7)
+        cover, finished = _cover_search(
+            rect_masks, full, compat, len(rects) + 1, 0, _Nodes(10**7)
+        )
         assert finished and len(cover) == naive_boolean_rank(rows)
         assert cover_covers_exactly(m, witness(cover))
         for max_nodes in (1, 5, 50):
-            cover, _, _ = _cover_search(rect_masks, full, compat, len(rects) + 1, 0, max_nodes)
+            cover, _ = _cover_search(
+                rect_masks, full, compat, len(rects) + 1, 0, _Nodes(max_nodes)
+            )
             assert cover is None or cover_covers_exactly(m, witness(cover))
 
 
@@ -722,8 +731,8 @@ class TestMaxFoolingSet:
         m = BoolMatrix.from_rows(rows)
         calls = []
 
-        def spy(adj, vertices, max_nodes, floor):
-            found = _max_clique(adj, vertices, max_nodes, floor)
+        def spy(adj, vertices, nodes, floor):
+            found = _max_clique(adj, vertices, nodes, floor)
             calls.append((adj, vertices, floor, found))
             return found
 
@@ -732,12 +741,12 @@ class TestMaxFoolingSet:
         fooling, largest, rank = (
             fooling_lower_bound(m), naive_max_fooling_set(rows), naive_boolean_rank(rows)
         )
-        for adj, vertices, floor, (clique, _, complete) in calls:
+        for adj, vertices, floor, (clique, complete) in calls:
             bound = max(floor, len(clique))
             assert fooling <= bound <= rank
             if complete:
                 assert bound == max(floor, largest)
-            assert len(_max_clique(adj, vertices, 10**6, 0)[0]) == largest
+            assert len(_max_clique(adj, vertices, _Nodes(10**6), 0)[0]) == largest
         for max_nodes in (1, 2, 5, 20):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             if not result.complete:
@@ -803,6 +812,45 @@ class TestBudget:
         with pytest.raises(ValueError):
             RankBudget(max_bicliques=-1)
 
+    # the rank's fooling clique ends at node 63, and its cover search at 2,451
+    @pytest.mark.parametrize(
+        "search, check, nodes, budgets",
+        [
+            (
+                lambda budget: max_isolation_bruteforce(7, 3, budget),
+                lambda result: verify_isolation(result.witness).ok,
+                76,
+                range(1, 80),
+            ),
+            (
+                lambda budget: max_triangular_bruteforce(2, 2, 6, budget),
+                lambda result: verify_triangular(result.witness).ok,
+                49,
+                range(1, 52),
+            ),
+            (
+                lambda budget: boolean_rank_exact(CIRCULANT_6_4, budget),
+                lambda result: cover_covers_exactly(CIRCULANT_6_4, result.witness),
+                2_451,
+                [*range(1, 70), *range(70, 2450, 61), 2450, 2451, 2452],
+            ),
+        ],
+        ids=["isolation(7,3)", "triangular(2,2,6)", "rank(circulant(6,4))"],
+    )
+    def test_exhausted_runs_count_one_node_past_the_budget(self, search, check, nodes, budgets):
+        unbounded = search(None)
+        assert unbounded.complete and unbounded.nodes_explored == nodes
+        for max_nodes in budgets:
+            result = search(RankBudget(max_nodes=max_nodes))
+            assert check(result), max_nodes
+            if result.complete:
+                assert result.nodes_explored <= max_nodes
+                assert result.optimum == unbounded.optimum
+            else:
+                assert result.nodes_explored == max_nodes + 1, max_nodes
+        assert not search(RankBudget(max_nodes=nodes - 1)).complete
+        assert search(RankBudget(max_nodes=nodes)).complete
+
 
 class TestNoReferenceCycles:
     def test_searches_leave_no_cyclic_garbage(self):
@@ -812,8 +860,14 @@ class TestNoReferenceCycles:
             lambda: boolean_rank_exact(build_A(5, 2)),
             lambda: boolean_rank_exact(j_minus_i(8)),
             lambda: boolean_rank_exact(build_A(6, 3)),
+            lambda: boolean_rank_exact(CIRCULANT_6_4),  # reaches the clique and the cover search
             lambda: max_isolation_bruteforce(6, 3),
             lambda: max_triangular_bruteforce(2, 2, 4),
+            # budget-exhausted runs: the exception unwinds through the counter
+            lambda: max_isolation_bruteforce(7, 3, RankBudget(max_nodes=30)),
+            lambda: max_triangular_bruteforce(2, 2, 6, RankBudget(max_nodes=20)),
+            lambda: boolean_rank_exact(CIRCULANT_6_4, RankBudget(max_nodes=30)),
+            lambda: boolean_rank_exact(CIRCULANT_6_4, RankBudget(max_nodes=100)),
         ]
         gc.collect()
         gc.disable()
