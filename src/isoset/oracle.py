@@ -184,7 +184,7 @@ def _max_clique(
     def expand(cand: int) -> None:
         nonlocal best, target
         nodes.tick()
-        vs = list(iter_bits(cand))
+        vs = iter_bits(cand)
         vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), rank[v]))
         color_of = {}
         classes: list[int] = []
@@ -315,7 +315,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
                 continue
             fresh_a = ((1 << fa) - 1) << u
             ua = u + fa
-            pool = list(iter_bits(~union_a & ((1 << ua) - 1)))
+            pool = iter_bits(~union_a & ((1 << ua) - 1))
             for old_a in combinations(range(u), a - fa):
                 amask = fresh_a
                 for e in old_a:
@@ -501,7 +501,7 @@ def _factor_search(
         if i == len(rows):
             return True
         row = rows[i]
-        zeros = list(iter_bits(live & ~row))
+        zeros = iter_bits(live & ~row)
         forbidden = 0
         for u in {unions[j] for j in iter_bits(row)}:
             forbidden |= _down_set(u)
@@ -659,8 +659,10 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     in the fewest rectangles, skipping the rectangles an earlier sibling
     already tried, pruning with a greedy isolation-set bound, and stopping
     at a cover of lb rectangles.  All three searches tick one node counter
-    of max_nodes; a stage that finds no node left is skipped and counts the
-    node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
+    of max_nodes; a stage that finds no node left counts the node it would
+    stop on, so an exhausted run reports max_nodes + 1 nodes.  The clique
+    stage runs even then, as its greedy seed costs no node; the cover
+    search is skipped.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
     results agree and the set cover's root bound is fooling_lower_bound's
@@ -713,7 +715,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         best_cover = [rects[ri] for ri in greedy]
     complete = len(best_cover) == lower
 
-    if not complete and nodes.left():
+    if not complete:
         # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
         # which also holds when they share a row or a column
         compat = [0] * full.bit_length()
@@ -722,11 +724,11 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
                 clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
                 compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
         # a clique of pairwise compatible ones is a fooling set, so any clique
-        # found bounds the rank, even when the search runs out of budget
+        # found bounds the rank, even when the search runs out of budget; on a
+        # spent budget the search still takes its greedy seed, at no node
         clique, _ = _max_clique(compat, full, nodes, lower)
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
-    # the count only grows, so the clique stage, which built compat, ran
     if not complete and nodes.left():
         chosen, finished = _cover_search(rect_masks, full, compat, len(best_cover), lower, nodes)
         if chosen is not None:

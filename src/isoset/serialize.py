@@ -2,7 +2,9 @@
 
 A family document is a single JSON object with schema_version, meta,
 universe, row_size, col_size and the row/col element arrays (sorted
-ascending, 1-based); it round-trips losslessly.  A matrix document is a
+ascending, 1-based); it round-trips losslessly.  It is laid out as
+json.dumps(doc, indent=2, sort_keys=True) lays it out, one array element
+per line, and that layout is stable.  A matrix document is a
 header line "n_rows n_cols" followed by n_rows lines of '0'/'1' characters,
 row 1 first.
 """
@@ -17,16 +19,32 @@ SCHEMA_VERSION = 1
 
 
 def family_to_json(fp: FamilyPair) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": fp.meta,
-        "universe": fp.universe,
-        "row_size": fp.row_size,
-        "col_size": fp.col_size,
-        "rows": [list(s.elements()) for s in fp.rows],
-        "cols": [list(s.elements()) for s in fp.cols],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The family document: json.dumps(doc, indent=2, sort_keys=True) plus a newline.
+
+    Written field by field, because json's C encoder is not used when an
+    indent is set, and the pure-Python one dominates on large families.
+    """
+    meta = json.dumps(fp.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        "{\n"
+        f'  "col_size": {json.dumps(fp.col_size)},\n'
+        f'  "cols": {_subsets_to_json(fp.cols)},\n'
+        f'  "meta": {meta},\n'
+        f'  "row_size": {json.dumps(fp.row_size)},\n'
+        f'  "rows": {_subsets_to_json(fp.rows)},\n'
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "universe": {json.dumps(fp.universe)}\n'
+        "}\n"
+    )
+
+
+def _subsets_to_json(subsets: tuple[Subset, ...]) -> str:
+    """The element arrays of a nonempty subsets tuple, as a value of the document."""
+    arrays = (
+        "[\n      " + ",\n      ".join(map(str, s.elements())) + "\n    ]" if s.bits else "[]"
+        for s in subsets
+    )
+    return "[\n    " + ",\n    ".join(arrays) + "\n  ]"
 
 
 def family_from_json(text: str) -> FamilyPair:
@@ -83,7 +101,8 @@ def matrix_from_text(text: str) -> BoolMatrix:
         row = line.strip()
         if len(row) != n_cols:
             raise ParseError(f"row {i + 1} has length {len(row)}, expected {n_cols}")
-        if set(row) - {"0", "1"}:
+        # int(row, 2) also takes "_", a sign and non-ASCII digits, so count
+        if row.count("0") + row.count("1") != n_cols:
             raise ParseError(f"row {i + 1} contains characters other than 0/1")
         masks.append(int(row[::-1], 2))
     try:

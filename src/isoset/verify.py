@@ -104,7 +104,7 @@ def verify_identity_decomposition(x: BoolMatrix, y: BoolMatrix) -> PatternCertif
             produced |= y.rows[inner]
         expected = 1 << i
         if produced != expected:
-            j = next(iter_bits(produced ^ expected)) + 1
+            j = iter_bits(produced ^ expected)[0] + 1
             raise ValueError(
                 f"X*Y is not the identity: first wrong entry at ({i + 1}, {j})"
             )

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from pathlib import Path
@@ -30,6 +31,20 @@ def naive_pattern(rows, cols):
         [1 if set(r) & set(c) else 0 for c in cols]
         for r in rows
     ]
+
+
+def reference_family_json(fp):
+    """The family document as json.dumps writes it, the reference layout."""
+    doc = {
+        "schema_version": 1,
+        "meta": fp.meta,
+        "universe": fp.universe,
+        "row_size": fp.row_size,
+        "col_size": fp.col_size,
+        "rows": [list(s.elements()) for s in fp.rows],
+        "cols": [list(s.elements()) for s in fp.cols],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def elements_of(fp):

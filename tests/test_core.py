@@ -19,13 +19,37 @@ from isoset import (
     intersects,
     max_dimension,
 )
-from isoset.core import realize
+from isoset.core import iter_bits, realize
 
 from conftest import elements_of, naive_pattern
 
 
 def S(elems, universe):
     return Subset.of(elems, universe)
+
+
+def naive_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestIterBits:
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            0,
+            1,
+            sum(1 << e for e in (0, 1, 700, 2105, 4208, 4209)),  # 4,210 bits, sparse
+            build_A(16, 4).rows[0],  # a row of 1,820 columns, 1,325 set
+            (1 << 1820) - 1,
+        ],
+        ids=["zero", "one", "sparse-4210", "dense-1820", "full-1820"],
+    )
+    def test_fixed_masks(self, mask):
+        assert iter_bits(mask) == naive_bits(mask)
+
+    @given(st.integers(0, 1 << 300))
+    def test_matches_naive(self, mask):
+        assert iter_bits(mask) == naive_bits(mask)
 
 
 class TestSubset:

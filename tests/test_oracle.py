@@ -525,6 +525,17 @@ class TestFactorSearch:
         assert result.complete and result.optimum == 5
         assert result.nodes_explored == 213
 
+    def test_spent_budget_still_takes_the_clique_seed(self):
+        # fooling 3, antichain 4: r = 4 is refuted in exactly 58 nodes, and
+        # the greedy clique seed, a fooling set of 6, costs no node
+        grid = ["11100101", "01111110", "01001000", "00001011", "01110000", "01101000"]
+        m = BoolMatrix.from_rows(grid)
+        assert naive_boolean_rank([list(map(int, row)) for row in grid]) == 6
+        for max_nodes, nodes in ((57, 58), (58, 59), (59, 59)):
+            result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
+            assert result.complete and result.optimum == result.lower_bound == 6
+            assert result.nodes_explored == nodes
+
     @given(
         st.integers(1, 5).flatmap(
             lambda n_cols: st.lists(

@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isoset import (
     BoolMatrix,
+    FamilyPair,
     ParseError,
+    Subset,
     circulant_isolation,
     family_from_json,
     family_to_json,
@@ -15,8 +19,33 @@ from isoset import (
     load_document,
     matrix_from_text,
     matrix_to_text,
+    max_isolation_bruteforce,
     triangular_family,
 )
+
+from conftest import reference_family_json
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def families(draw):
+    """Families over a small universe, empty subsets and empty meta included."""
+    universe = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 5))
+    sizes = st.integers(0, universe)
+    row_size, col_size = draw(sizes), draw(sizes)
+
+    def subsets(size):
+        picks = st.permutations(range(1, universe + 1)).map(lambda p: p[:size])
+        return draw(st.lists(picks, min_size=n, max_size=n))
+
+    meta = draw(st.dictionaries(st.text(), json_values, max_size=4))
+    return FamilyPair.from_elements(subsets(row_size), subsets(col_size), universe, meta)
 
 
 class TestFamilyDocument:
@@ -65,6 +94,26 @@ class TestFamilyDocument:
         with pytest.raises(ParseError):
             family_from_json("[1, 2]")
 
+    @given(families())
+    def test_layout_matches_json_dumps(self, fp):
+        assert family_to_json(fp) == reference_family_json(fp)
+
+    @pytest.mark.parametrize(
+        "fp",
+        [isolation_construct(k, t) for k, t in [(12, 4), (11, 3), (6, 3), (4, 2), (3, 2)]]
+        + [triangular_family(3, 3), triangular_family(7, 6), identity_family(8, 2)]
+        + [max_isolation_bruteforce(k, 2).witness for k in (4, 5, 6)],
+    )
+    def test_constructions_match_json_dumps(self, fp):
+        assert family_to_json(fp) == reference_family_json(fp)
+
+    def test_boolean_sizes_stay_json(self):
+        # a parsed document may give a size as true, which equals 1
+        one = Subset.of([1], 2)
+        fp = FamilyPair(universe=2, row_size=True, col_size=True, rows=(one,), cols=(one,))
+        assert family_to_json(fp) == reference_family_json(fp)
+        assert family_from_json(family_to_json(fp)) == fp
+
     def test_roundtrip_construction_grid(self):
         for t in range(2, 7):
             for k in range(2 * t, 4 * t + 3):
@@ -95,6 +144,15 @@ class TestMatrixDocument:
     def test_rejects_bad_characters(self):
         with pytest.raises(ParseError):
             matrix_from_text("1 3\n1x1\n")
+
+    @pytest.mark.parametrize(
+        "row", ["1_1", "+11", "-11", "1 1", "0b1", "1b0", "１１１"]
+    )
+    def test_rejects_what_int_parses(self, row):
+        # int(s, 2) reads "_", a sign, a "0b" prefix and non-ASCII digits, so
+        # the 0/1 check, not the parse, must refuse these rows
+        with pytest.raises(ParseError, match="characters other than 0/1"):
+            matrix_from_text(f"1 3\n{row}\n")
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ParseError):
