@@ -93,20 +93,8 @@ class _Nodes:
         return True
 
 
-def _intersecting_pairs(k: int, t: int, max_dim: int | None = None) -> list[tuple[int, int]]:
-    """The 1-entries (x, y) of A(k, t) as bit masks, in colex pair order.
-
-    The column subset is the outer key; both run in colex subset order.
-    Raises ResourceLimitError when C(k, t) exceeds the dimension cap.
-    """
-    masks = [s.bits for s in _capped_t_subsets(k, t, max_dim)]
-    return [(x, y) for y in masks for x in masks if x & y]
-
-
-def _compatible(
-    pairs: list[tuple[int, int]], probes: list[tuple[int, int]], identity: bool
-) -> list[int]:
-    """For each probe (x1, y1), the mask of the pairs (x2, y2) adjacent to it.
+def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
+    """For each pair (x1, y1), the mask of the pairs (x2, y2) adjacent to it.
 
     The adjacency rule of both compatibility graphs: x1 != x2, y1 != y2,
     and the cross intersections x1 & y2, x2 & y1 are not both nonempty
@@ -119,17 +107,20 @@ def _compatible(
         same_y[y] = same_y.get(y, 0) | 1 << i
     x_has = _element_index(same_x.items())  # element -> pairs whose row subset holds it
     y_has = _element_index(same_y.items())
+
+    def meeting(has: dict[int, int], subset: int) -> int:
+        out = 0
+        for e in iter_bits(subset):
+            out |= has.get(e, 0)
+        return out
+
+    x_meets = {y: meeting(x_has, y) for y in same_y}  # pairs whose row subset meets y
+    y_meets = {x: meeting(y_has, x) for x in same_x}  # pairs whose column subset meets x
     full = (1 << len(pairs)) - 1
     out = []
-    for x, y in probes:
-        x_meets = 0  # pairs whose row subset meets y
-        for e in iter_bits(y):
-            x_meets |= x_has.get(e, 0)
-        y_meets = 0  # pairs whose column subset meets x
-        for e in iter_bits(x):
-            y_meets |= y_has.get(e, 0)
-        clash = x_meets | y_meets if identity else x_meets & y_meets
-        out.append(full & ~(clash | same_x.get(x, 0) | same_y.get(y, 0)))
+    for x, y in pairs:
+        clash = x_meets[y] | y_meets[x] if identity else x_meets[y] & y_meets[x]
+        out.append(full & ~(clash | same_x[x] | same_y[y]))
     return out
 
 
@@ -138,11 +129,40 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
 
     Two vertices (x1, y1), (x2, y2) are adjacent when x1 != x2, y1 != y2 and
     the cross intersections x1 & y2, x2 & y1 are not both nonempty; the
-    identity graph requires both to be empty.
+    identity graph requires both to be empty.  Raises ResourceLimitError
+    when C(k, t) exceeds the dimension cap.
     """
-    pairs = _intersecting_pairs(k, t, max_dim)
+    masks = [s.bits for s in _capped_t_subsets(k, t, max_dim)]
+    pairs = [(x, y) for y in masks for x in masks if x & y]  # colex pair order
     vertices = tuple((Subset(k, x), Subset(k, y)) for x, y in pairs)
-    return CompatGraph(vertices, tuple(_compatible(pairs, pairs, identity)))
+    return CompatGraph(vertices, tuple(_compatible(pairs, identity)))
+
+
+def _neighbours(
+    masks: Sequence[int], rep: tuple[int, int], c: int, identity: bool
+) -> list[tuple[int, int]]:
+    """The pairs (x, y) with |x & y| >= c adjacent to rep, in colex pair order.
+
+    ``masks`` are the t-subsets in colex order.  By the rule of _compatible,
+    with rep = (rx, ry): x != rx, y != ry, and x & ry, rx & y are both empty
+    (identity) or not both nonempty (isolation).  So in the identity graph
+    y misses rx and x misses ry; in the isolation graph x misses ry only
+    where y meets rx.
+    """
+    rx, ry = rep
+    miss_ry = [x for x in masks if not x & ry]
+    out = []
+    for y in masks:
+        if y == ry:
+            continue
+        if y & rx:
+            if identity:
+                continue
+            xs = miss_ry
+        else:
+            xs = miss_ry if identity else masks
+        out.extend((x, y) for x in xs if x != rx and (x & y).bit_count() >= c)
+    return out
 
 
 def _max_clique(
@@ -229,19 +249,21 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     turn (orbits with 2t - c > k are empty) the search runs on the
     neighbours of rep_c with |x & y| >= c: earlier orbits are dropped, as
     every clique meeting them was covered there.  The full graph is never
-    built.  The best clique so far is carried across as the floor of the
-    next subproblem, and all subproblems draw on one node budget.
+    built, nor is the pair list outside each neighbourhood: _neighbours
+    lists it straight from the t-subsets.  The best clique so far is
+    carried across as the floor of the next subproblem, and all
+    subproblems draw on one node budget.
     """
-    pairs = _intersecting_pairs(k, t)
+    masks = [s.bits for s in _capped_t_subsets(k, t)]
     best: list[tuple[int, int]] = []
     nodes = _Nodes(max_nodes)
     complete = True
     orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
-    for c, rep, near in zip(orbits, reps, _compatible(pairs, reps, identity)):
-        sub = [pairs[i] for i in iter_bits(near) if (pairs[i][0] & pairs[i][1]).bit_count() >= c]
+    for c, rep in zip(orbits, reps):
+        sub = _neighbours(masks, rep, c, identity)
         clique, complete = _max_clique(
-            _compatible(sub, sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1
+            _compatible(sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1
         )
         if len(clique) + 1 > len(best):
             best = [rep] + [sub[v] for v in clique]

@@ -12,6 +12,7 @@ row 1 first.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .core import BoolMatrix, FamilyPair, ParseError, Subset
 
@@ -55,18 +56,16 @@ def family_from_json(text: str) -> FamilyPair:
     if not isinstance(doc, dict):
         raise ParseError("family document must be a JSON object")
     try:
-        version = doc["schema_version"]
+        version = _integer(doc["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {version}")
-        universe = doc["universe"]
-        rows = doc["rows"]
-        cols = doc["cols"]
+        universe = _integer(doc["universe"], "universe")
         fp = FamilyPair(
             universe=universe,
-            row_size=doc["row_size"],
-            col_size=doc["col_size"],
-            rows=tuple(Subset.of(r, universe) for r in rows),
-            cols=tuple(Subset.of(c, universe) for c in cols),
+            row_size=_integer(doc["row_size"], "row_size"),
+            col_size=_integer(doc["col_size"], "col_size"),
+            rows=_subsets(doc["rows"], universe, "rows"),
+            cols=_subsets(doc["cols"], universe, "cols"),
             meta=dict(doc.get("meta") or {}),
         )
     except ParseError:
@@ -74,6 +73,20 @@ def family_from_json(text: str) -> FamilyPair:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed family document: {exc}") from exc
     return fp
+
+
+def _integer(value: object, field: str) -> int:
+    """value if it is a JSON integer; true and 1.0 equal 1 in Python but are refused."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _subsets(arrays: list[list[int]], universe: int, field: str) -> tuple[Subset, ...]:
+    """The element arrays of one field, every element a JSON integer."""
+    if not set(map(type, chain.from_iterable(arrays))) <= {int}:
+        raise ParseError(f"{field} elements must be integers")
+    return tuple(Subset.of(a, universe) for a in arrays)
 
 
 def matrix_to_text(m: BoolMatrix) -> str:

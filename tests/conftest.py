@@ -47,6 +47,28 @@ def reference_family_json(fp):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def naive_neighbours(k, t, c, identity):
+    """The pairs adjacent to rep_c with |x & y| >= c, by filtering every pair.
+
+    rep_c = ({0..t-1}, {0..c-1} + {t..2t-c-1}) in 0-based elements.  Every
+    (x, y) of t-subsets is tested against it with Python sets: x != rx,
+    y != ry, and the cross intersections x & ry, rx & y are both empty
+    (identity) or not both nonempty (isolation).  Pairs come as sorted
+    element tuples, column subset outer, both in colex order.
+    """
+    subsets = sorted(combinations(range(k), t), key=lambda s: s[::-1])
+    rx, ry = set(range(t)), set(range(c)) | set(range(t, 2 * t - c))
+    out = []
+    for y in subsets:
+        for x in subsets:
+            if set(x) == rx or set(y) == ry or len(set(x) & set(y)) < c:
+                continue
+            meets = (bool(set(x) & ry), bool(rx & set(y)))
+            if meets == (False, False) or (not identity and meets != (True, True)):
+                out.append((x, y))
+    return out
+
+
 def elements_of(fp):
     """Row and column element tuples of a family, for naive cross-checks."""
     return [s.elements() for s in fp.rows], [s.elements() for s in fp.cols]

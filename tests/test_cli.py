@@ -156,6 +156,17 @@ class TestVerify:
         assert code == 3
         assert captured.out == "" and "at least one pair" in captured.err
 
+    def test_boolean_universe_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(
+            '{"schema_version": 1, "universe": true, "row_size": 1.0, "col_size": true,'
+            ' "rows": [[1]], "cols": [[true]]}'
+        )
+        code = main(["verify", "isolation", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "universe must be an integer" in captured.err
+
 
 class TestSearch:
     def test_isolation_5_2(self, capsys):

@@ -45,10 +45,17 @@ from isoset.oracle import (
     _greedy_cover,
     _max_clique,
     _maximal_bicliques,
+    _neighbours,
     _Nodes,
 )
 
-from conftest import naive_boolean_rank, naive_greedy_cover, naive_max_fooling_set, permute
+from conftest import (
+    naive_boolean_rank,
+    naive_greedy_cover,
+    naive_max_fooling_set,
+    naive_neighbours,
+    permute,
+)
 
 
 class TestCompatGraph:
@@ -161,11 +168,25 @@ class TestMaxIsolation:
 
     @pytest.mark.parametrize("k, t, orbits", [(8, 3, 3), (7, 2, 2)])
     def test_each_orbit_subgraph_is_built_once(self, k, t, orbits):
-        # one call finds the representatives' neighbours, then one per orbit
+        # one call per orbit subgraph; the neighbours of each representative
+        # come from the t-subsets without an adjacency mask
         with mock.patch("isoset.oracle._compatible", wraps=oracle._compatible) as spy:
             result = max_isolation_bruteforce(k, t)
         assert result.complete
-        assert spy.call_count == 1 + orbits
+        assert spy.call_count == orbits
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["isolation", "identity"])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_neighbours_match_filtered_pairs(self, k, identity):
+        for t in range(1, min(k, 4) + 1):
+            masks = sorted(sum(1 << e for e in s) for s in combinations(range(k), t))
+            for c in range(max(1, 2 * t - k), t + 1):
+                rep = ((1 << t) - 1, (1 << c) - 1 | ((1 << (t - c)) - 1) << t)
+                got = [
+                    tuple(tuple(e for e in range(k) if m >> e & 1) for m in pair)
+                    for pair in _neighbours(masks, rep, c, identity)
+                ]
+                assert got == naive_neighbours(k, t, c, identity), (t, c)
 
     @pytest.mark.parametrize("search", [max_isolation_bruteforce, max_identity_bruteforce])
     def test_dimension_cap(self, search, monkeypatch):
@@ -186,6 +207,19 @@ class TestMaxIdentity:
 
     def test_deterministic(self):
         assert max_identity_bruteforce(6, 2) == max_identity_bruteforce(6, 2)
+
+    @pytest.mark.parametrize(
+        "k, t, nodes",
+        [(10, 3, 3), (11, 3, 3), (12, 3, 3), (10, 4, 4), (11, 4, 4), (12, 4, 4), (13, 4, 4)],
+    )
+    def test_first_theorem_beyond_the_bench(self, k, t, nodes):
+        # A(13, 4) has 715 rows, so 511,225 (row, column) pairs; listing only
+        # each representative's neighbourhood keeps every case under a second
+        result = max_identity_bruteforce(k, t)
+        assert result.complete
+        assert result.optimum == k - 2 * t + 2
+        assert result.nodes_explored == nodes
+        assert verify_identity(result.witness).ok
 
 
 def _cross_check_cases():

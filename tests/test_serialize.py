@@ -94,6 +94,30 @@ class TestFamilyDocument:
         with pytest.raises(ParseError):
             family_from_json("[1, 2]")
 
+    def test_rejects_true_and_float_for_integers(self):
+        # True == 1 and 1.0 == 1 pass FamilyPair's checks, so without a type
+        # check this parsed and wrote "universe": true back out
+        doc = {
+            "schema_version": 1, "universe": True, "row_size": 1.0, "col_size": True,
+            "rows": [[1]], "cols": [[True]],
+        }
+        with pytest.raises(ParseError, match="universe must be an integer, got true"):
+            family_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize(
+        "field", ["schema_version", "universe", "row_size", "col_size", "rows", "cols"]
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        doc = {
+            "schema_version": 1, "universe": 1, "row_size": 1, "col_size": 1,
+            "rows": [[1]], "cols": [[1]],
+        }
+        assert family_from_json(json.dumps(doc)).universe == 1
+        doc[field] = [[value]] if field in ("rows", "cols") else value
+        with pytest.raises(ParseError, match=rf"^{field}( elements)? must be (an integer|integers)"):
+            family_from_json(json.dumps(doc))
+
     @given(families())
     def test_layout_matches_json_dumps(self, fp):
         assert family_to_json(fp) == reference_family_json(fp)
@@ -108,11 +132,13 @@ class TestFamilyDocument:
         assert family_to_json(fp) == reference_family_json(fp)
 
     def test_boolean_sizes_stay_json(self):
-        # a parsed document may give a size as true, which equals 1
+        # a caller may build a FamilyPair with a size given as true, which
+        # equals 1; the writer keeps it JSON, and the reader refuses it
         one = Subset.of([1], 2)
         fp = FamilyPair(universe=2, row_size=True, col_size=True, rows=(one,), cols=(one,))
         assert family_to_json(fp) == reference_family_json(fp)
-        assert family_from_json(family_to_json(fp)) == fp
+        with pytest.raises(ParseError, match="row_size must be an integer, got true"):
+            family_from_json(family_to_json(fp))
 
     def test_roundtrip_construction_grid(self):
         for t in range(2, 7):
