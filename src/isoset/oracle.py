@@ -99,6 +99,9 @@ def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
     The adjacency rule of both compatibility graphs: x1 != x2, y1 != y2,
     and the cross intersections x1 & y2, x2 & y1 are not both nonempty
     (isolation) or are both empty (identity).  Bit i of a mask is pairs[i].
+    Every pair must be a one (x & y nonempty).  Then the clash set of
+    (x, y) already holds each (x, y2) and (x2, y), as x meets y, y2 meets x
+    and x2 meets y, so the first two conditions need no mask of their own.
     """
     same_x: dict[int, int] = {}
     same_y: dict[int, int] = {}
@@ -120,7 +123,7 @@ def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
     out = []
     for x, y in pairs:
         clash = x_meets[y] | y_meets[x] if identity else x_meets[y] & y_meets[x]
-        out.append(full & ~(clash | same_x[x] | same_y[y]))
+        out.append(full ^ clash)
     return out
 
 
@@ -166,80 +169,88 @@ def _neighbours(
 
 
 def _max_clique(
-    adj: Sequence[int], vertices: int, nodes: _Nodes, floor: int
+    adj: Sequence[int], vertices: int, nodes: _Nodes, floor: int, ceiling: int
 ) -> tuple[list[int], bool]:
-    """Branch-and-bound maximum clique with greedy-coloring bounds.
+    """Branch-and-bound maximum clique with bit-parallel colouring bounds.
 
     The graph is ``adj`` restricted to the set bits of ``vertices``.  Only
     cliques with more than ``floor`` vertices are sought: a caller that
     already holds a clique of that size passes it as the floor, and every
-    branch that cannot beat it is pruned.  The vertices are ranked once by
-    non-increasing degree, ties by index, and a greedy clique taken in rank
-    order seeds the incumbent when it beats the floor.  At every node the
-    candidates are sorted by degree within the candidate set, colored
-    greedily in that order, and branched in reverse color order; a vertex
-    of color c cannot extend the clique by more than c.  Both sorts break
-    ties by rank, so node counts are reproducible.  Returns (best clique
-    above the floor as sorted vertex ids, or [] if none was found,
-    complete).
+    branch that cannot beat it is pruned.  ``ceiling`` is a proven upper
+    bound on the clique number: a clique of that size, the greedy seed
+    included, ends the search as complete.  The vertices are ranked once
+    by non-increasing degree, ties by index, and a greedy clique taken in
+    rank order seeds the incumbent when it beats the floor.  At every node
+    the candidates are coloured in index order (San Segundo, Rodriguez-
+    Losada & Jimenez, Comput. Oper. Res. 2011): each colour class is peeled
+    off the uncoloured mask, lowest index first, by dropping the neighbours
+    of every vertex it takes.  A vertex of colour c cannot extend the
+    clique by more than c, so only the vertices whose colour can still beat
+    the target are listed, and they are branched in reverse colour order.
+    Peeling follows the index order, so a caller that numbers its vertices
+    by non-increasing degree gets tighter colourings.  Returns (best clique
+    above the floor as sorted vertex ids, at most ``ceiling`` of them, or
+    [] if none was found, complete).
     """
-    if not vertices:
-        return [], True
-
     order = sorted(iter_bits(vertices), key=lambda v: -(adj[v] & vertices).bit_count())
-    rank = [0] * len(adj)
-    for r, v in enumerate(order):
-        rank[v] = r
     cand = vertices
     greedy: list[int] = []
     for v in order:  # cand only shrinks, so one pass meets its lowest-rank vertex first
         if cand >> v & 1:
             greedy.append(v)
             cand &= adj[v]
-    best: list[int] = greedy if len(greedy) > floor else []
+    best: list[int] = greedy[:ceiling] if len(greedy) > floor else []
     target = max(floor, len(best))  # size a new clique must exceed
+    if not vertices or target >= ceiling:
+        return sorted(best), True
 
     clique: list[int] = []
 
-    def expand(cand: int) -> None:
+    def expand(cand: int) -> bool:
+        """Search below the current clique; True once it reaches the ceiling."""
         nonlocal best, target
         nodes.tick()
-        vs = iter_bits(cand)
-        vs.sort(key=lambda v: (-(adj[v] & cand).bit_count(), rank[v]))
-        color_of = {}
-        classes: list[int] = []
-        for v in vs:
-            for i, cls in enumerate(classes):
-                if not adj[v] & cls:
-                    classes[i] |= 1 << v
-                    color_of[v] = i + 1
-                    break
-            else:
-                classes.append(1 << v)
-                color_of[v] = len(classes)
-        vs.sort(key=lambda v: (color_of[v], rank[v]))
+        least = target - len(clique)  # a listed vertex needs a colour above this
+        listed: list[tuple[int, int]] = []  # (colour, vertex), colours non-decreasing
+        colour = 0
+        uncoloured = cand
+        while uncoloured:
+            colour += 1
+            q = uncoloured
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q ^= q & adj[v] | low
+                uncoloured ^= low
+                if colour > least:
+                    listed.append((colour, v))
         p = cand
-        for v in reversed(vs):
-            if len(clique) + color_of[v] <= target:
-                return
-            child = p & adj[v]
+        for colour, v in reversed(listed):
+            if len(clique) + colour <= target:
+                return False
             clique.append(v)
+            if len(clique) == ceiling:
+                best = clique.copy()
+                return True
+            child = p & adj[v]
             if child:
-                expand(child)
+                if expand(child):
+                    return True
             elif len(clique) > target:
                 best = clique.copy()
                 target = len(best)
             clique.pop()
             p ^= 1 << v
-            if len(clique) + p.bit_count() <= target:
-                return
+        return False
 
     complete = nodes.run(expand, vertices)
     del expand  # break the closure's reference to itself
     return sorted(best), complete
 
 
-def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> SearchResult:
+def _orbit_clique_search(
+    k: int, t: int, identity: bool, max_nodes: int, ceiling: int
+) -> SearchResult:
     """Maximum clique of a compatibility graph, one orbit representative at a time.
 
     S_k acts on the 1-entries (x, y) of A(k, t) and preserves both graphs;
@@ -250,9 +261,15 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     neighbours of rep_c with |x & y| >= c: earlier orbits are dropped, as
     every clique meeting them was covered there.  The full graph is never
     built, nor is the pair list outside each neighbourhood: _neighbours
-    lists it straight from the t-subsets.  The best clique so far is
-    carried across as the floor of the next subproblem, and all
-    subproblems draw on one node budget.
+    lists it straight from the t-subsets.  _max_clique colours in index
+    order, so each subgraph is numbered by non-increasing degree (a stable
+    sort, ties in colex pair order): the degrees come from a first
+    _compatible build and the search runs on a second build in that order.
+    The best clique so far is carried across as the floor of the next
+    subproblem, and all subproblems draw on one node budget.  ``ceiling``
+    is a proven upper bound on the clique size: each subproblem gets
+    ceiling - 1, as rep_c is one more entry, and once a clique of
+    ``ceiling`` entries is held the remaining orbits are skipped.
     """
     masks = [s.bits for s in _capped_t_subsets(k, t)]
     best: list[tuple[int, int]] = []
@@ -261,9 +278,13 @@ def _orbit_clique_search(k: int, t: int, identity: bool, max_nodes: int) -> Sear
     orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
     reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
     for c, rep in zip(orbits, reps):
+        if len(best) >= ceiling:
+            break
         sub = _neighbours(masks, rep, c, identity)
+        degree = [mask.bit_count() for mask in _compatible(sub, identity)]
+        sub = [sub[v] for v in sorted(range(len(sub)), key=lambda v: -degree[v])]
         clique, complete = _max_clique(
-            _compatible(sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1
+            _compatible(sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1, ceiling - 1
         )
         if len(clique) + 1 > len(best):
             best = [rep] + [sub[v] for v in clique]
@@ -284,19 +305,25 @@ def max_isolation_bruteforce(k: int, t: int, budget: RankBudget | None = None) -
     neighbourhood of each S_k orbit representative in turn with earlier
     orbits dropped and the incumbent carried over; on an exhausted node
     budget the best clique found so far is returned (complete=False).
+    The k element stars {x : e in x} x {y : e in y} are all-ones rectangles
+    covering A(k, t), so its Boolean rank, and with it the size of any
+    isolation set, is at most k: a clique of k entries ends the search as
+    complete.
     """
     budget = budget or RankBudget()
-    return _orbit_clique_search(k, t, False, budget.max_nodes)
+    return _orbit_clique_search(k, t, False, budget.max_nodes, k)
 
 
 def max_identity_bruteforce(k: int, t: int, budget: RankBudget | None = None) -> SearchResult:
     """Exact maximum identity submatrix of the full intersection matrix.
 
     Same orbit-representative clique search on the stricter graph requiring
-    both cross intersections of every vertex pair to be empty.
+    both cross intersections of every vertex pair to be empty.  An identity
+    submatrix is an isolation set, so the ceiling k holds here too, but the
+    optimum k - 2t + 2 never reaches it.
     """
     budget = budget or RankBudget()
-    return _orbit_clique_search(k, t, True, budget.max_nodes)
+    return _orbit_clique_search(k, t, True, budget.max_nodes, k)
 
 
 def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None = None) -> SearchResult:
@@ -308,7 +335,9 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
     canonical per overlap size (A_1 = {1..a}, B_1 = {1..c} + {a+1..a+b-c}),
     and later pairs introduce fresh elements only as the next consecutive
     integers.  Explored states, keyed by (union of rows, set of columns),
-    are memoized and never re-expanded.
+    are memoized and never re-expanded.  No triangular family has more than
+    C(a+b, a) - 1 pairs (a bound that follows from Frankl's theorem on skew
+    set pairs), so a family of that size ends the search as complete.
     """
     if a < 1 or b < 1:
         raise RangeError(f"need a >= 1 and b >= 1, got a={a}, b={b}")
@@ -323,6 +352,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         for c in range(1, min(a, b) + 1)
         if a + b - c <= k
     ]
+    ceiling = comb(a + b, a) - 1
     nodes = _Nodes(budget.max_nodes)
     best: tuple = (firsts[0][:2],)  # a single meeting pair is already triangular
     path: list[tuple[int, int]] = []
@@ -358,22 +388,27 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
                             out.append((amask, bmask, ua + fb))
         return out
 
-    def extend(union_a: int, bs: tuple[int, ...], u: int) -> None:
+    def extend(union_a: int, bs: tuple[int, ...], u: int) -> bool:
+        """Extend the path; True once best reaches the ceiling."""
         nonlocal best
         nodes.tick()
         if len(path) > len(best):
             best = tuple(path)
+            if len(best) == ceiling:
+                return True
         key = (union_a, frozenset(bs))
         if key in visited:
-            return
+            return False
         visited.add(key)
         cands = firsts if not path else candidates(union_a, bs, u)
         for amask, bmask, u2 in cands:
             path.append((amask, bmask))
-            extend(union_a | amask, bs + (bmask,), u2)
+            if extend(union_a | amask, bs + (bmask,), u2):
+                return True
             path.pop()
+        return False
 
-    complete = nodes.run(extend, 0, (), 0)
+    complete = len(best) == ceiling or nodes.run(extend, 0, (), 0)
     del extend  # break the closure's reference to itself
 
     rows = tuple(Subset(k, amask) for amask, _ in best)
@@ -675,9 +710,11 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     isolation set depends on the order of rows and columns, so a larger
     fooling set is sought next: a maximum clique of the ones, two ones
     adjacent when no all-ones rectangle holds both.  Any clique above lb
-    raises it, even when the clique search runs out of budget.  A bracket
-    open after that goes to branch-and-bound set cover over the 1-entries
-    by the maximal rectangles, branching on the uncovered entry contained
+    raises it, even when the clique search runs out of budget, and a clique
+    the size of the best cover, its ceiling, closes the bracket and ends
+    the clique search.  A bracket open after that goes to branch-and-bound
+    set cover over the 1-entries by the maximal rectangles, branching on
+    the uncovered entry contained
     in the fewest rectangles, skipping the rectangles an earlier sibling
     already tried, pruning with a greedy isolation-set bound, and stopping
     at a cover of lb rectangles.  All three searches tick one node counter
@@ -748,7 +785,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget; on a
         # spent budget the search still takes its greedy seed, at no node
-        clique, _ = _max_clique(compat, full, nodes, lower)
+        clique, _ = _max_clique(compat, full, nodes, lower, len(best_cover))
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
     if not complete and nodes.left():

@@ -69,6 +69,20 @@ def naive_neighbours(k, t, c, identity):
     return out
 
 
+def naive_star_cover_holds(k, t):
+    """Whether the k element stars cover the ones of A(k, t), with Python sets.
+
+    Star e holds every (x, y) of t-subsets with e in both.  Each star must
+    be all ones (x meets y) and their union every intersecting pair; then
+    the Boolean rank of A(k, t), and so the size of any isolation set, is
+    at most k.
+    """
+    subsets = [frozenset(s) for s in combinations(range(k), t)]
+    ones = {(x, y) for x in subsets for y in subsets if x & y}
+    stars = [{(x, y) for x in subsets if e in x for y in subsets if e in y} for e in range(k)]
+    return all(star <= ones for star in stars) and set().union(*stars) == ones
+
+
 def elements_of(fp):
     """Row and column element tuples of a family, for naive cross-checks."""
     return [s.elements() for s in fp.rows], [s.elements() for s in fp.cols]

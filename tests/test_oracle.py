@@ -9,7 +9,7 @@ from operator import or_
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isoset import (
@@ -47,6 +47,7 @@ from isoset.oracle import (
     _maximal_bicliques,
     _neighbours,
     _Nodes,
+    _orbit_clique_search,
 )
 
 from conftest import (
@@ -54,6 +55,7 @@ from conftest import (
     naive_greedy_cover,
     naive_max_fooling_set,
     naive_neighbours,
+    naive_star_cover_holds,
     permute,
 )
 
@@ -118,7 +120,7 @@ class TestMaxIsolation:
             assert result.optimum >= isolation_construct(k, t).size
 
     def test_budget_exhaustion(self):
-        # (7, 3) needs 76 nodes; (6, 2) now completes in 2
+        # (7, 3) needs 79 nodes; (6, 2) reaches its ceiling k = 6 in 0
         result = max_isolation_bruteforce(7, 3, RankBudget(max_nodes=5))
         assert not result.complete
         assert result.optimum >= 1
@@ -133,7 +135,7 @@ class TestMaxIsolation:
         result = max_isolation_bruteforce(7, 3, RankBudget(max_nodes=200_000_000))
         assert result.complete
         assert result.optimum == 5
-        assert result.nodes_explored == 76
+        assert result.nodes_explored == 79
         assert verify_isolation(result.witness).ok
 
     def test_k8_t3_long(self):
@@ -143,37 +145,60 @@ class TestMaxIsolation:
         result = max_isolation_bruteforce(8, 3, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 7
-        assert result.nodes_explored == 7_185
+        assert result.nodes_explored == 12_293
+        assert verify_isolation(result.witness).ok
+
+    @pytest.mark.parametrize(
+        "k, t", [(k, t) for k in range(1, 10) for t in range(1, min(k, 4) + 1)]
+    )
+    def test_element_stars_cover_A(self, k, t):
+        # the certificate of the search's ceiling k, checked with Python sets
+        assert naive_star_cover_holds(k, t)
+
+    @pytest.mark.parametrize(
+        "k, nodes", [(9, 8), (10, 9), (11, 10), (12, 11)], ids=["k9", "k10", "k11", "k12"]
+    )
+    def test_star_cover_ceiling_ends_the_search(self, k, nodes):
+        # k >= 4t - 3: the paper's isolation set of size k meets the ceiling
+        # k of the element stars, so no larger clique has to be refuted
+        result = max_isolation_bruteforce(k, 3)
+        assert result.complete
+        assert result.optimum == k
+        assert result.nodes_explored == nodes
         assert verify_isolation(result.witness).ok
 
     @pytest.mark.slow
     def test_k9_t3_long(self):
         # k = 9 = 4t - 3 is where the 2r+3 and k regimes meet; the optimum
-        # is k = 9 (about 4 minutes)
-        result = max_isolation_bruteforce(9, 3, RankBudget(max_nodes=5_000_000))
+        # is k = 9.  The ceiling k + 1 is never reached, so the search
+        # proves that no 10 exists by exhaustion, independent of the star
+        # cover (about 4 minutes)
+        result = _orbit_clique_search(9, 3, False, 20_000_000, 10)
         assert result.complete
         assert result.optimum == 9
-        assert result.nodes_explored == 1_143_888
+        assert result.nodes_explored == 8_412_155
         assert verify_isolation(result.witness).ok
 
     @pytest.mark.slow
     def test_k10_t4_long(self):
         # middle regime at t = 4: the 2r+3 construction (size 7) is optimal
-        # (about 30 s)
+        # (about 10 s)
         result = max_isolation_bruteforce(10, 4, RankBudget(max_nodes=5_000_000))
         assert result.complete
         assert result.optimum == 7
-        assert result.nodes_explored == 114_866
+        assert result.nodes_explored == 151_970
         assert verify_isolation(result.witness).ok
 
-    @pytest.mark.parametrize("k, t, orbits", [(8, 3, 3), (7, 2, 2)])
-    def test_each_orbit_subgraph_is_built_once(self, k, t, orbits):
-        # one call per orbit subgraph; the neighbours of each representative
-        # come from the t-subsets without an adjacency mask
+    @pytest.mark.parametrize("k, t, calls", [(8, 3, 6), (7, 2, 2)], ids=["8-3", "7-2"])
+    def test_each_orbit_subgraph_is_built_twice(self, k, t, calls):
+        # two calls per orbit subgraph searched: one for the degrees, one in
+        # degree order; the neighbours of each representative come from the
+        # t-subsets without an adjacency mask.  (7, 2) holds k = 7 after its
+        # first orbit, so the second orbit is skipped
         with mock.patch("isoset.oracle._compatible", wraps=oracle._compatible) as spy:
             result = max_isolation_bruteforce(k, t)
         assert result.complete
-        assert spy.call_count == orbits
+        assert spy.call_count == calls
 
     @pytest.mark.parametrize("identity", [False, True], ids=["isolation", "identity"])
     @pytest.mark.parametrize("k", range(1, 10))
@@ -277,6 +302,26 @@ class TestMaxTriangular:
         result = max_triangular_bruteforce(2, 2, 4, RankBudget(max_nodes=1))
         assert not result.complete
         assert result.optimum == 1 == result.witness.size
+        assert verify_triangular(result.witness).ok
+
+    @pytest.mark.parametrize(
+        "a, b, k, optimum, nodes",
+        [
+            pytest.param(2, 2, 7, 5, 17, id="2-2-7"),
+            pytest.param(2, 2, 8, 5, 17, id="2-2-8"),
+            pytest.param(2, 3, 7, 4, 914, id="2-3-7"),
+            pytest.param(2, 3, 8, 5, 5_804, id="2-3-8"),
+            pytest.param(2, 3, 9, 6, 25_190, id="2-3-9"),
+            pytest.param(2, 3, 10, 7, 72_973, id="2-3-10"),
+        ],
+    )
+    def test_frankl_bound_ends_the_search(self, a, b, k, optimum, nodes):
+        # C(4, 2) - 1 = 5 is reached for (2, 2), so the search stops there;
+        # C(5, 2) - 1 = 9 is out of reach for (2, 3) at k <= 10, so those
+        # searches run to the end
+        result = max_triangular_bruteforce(a, b, k)
+        assert result.complete
+        assert (result.optimum, result.nodes_explored) == (optimum, nodes)
         assert verify_triangular(result.witness).ok
 
     def test_universe_too_small(self):
@@ -391,7 +436,7 @@ class TestBooleanRank:
         finally:
             tracemalloc.stop()
         assert result.complete and result.optimum == 8
-        assert result.nodes_explored == 2_451
+        assert result.nodes_explored == 2_455
         assert peak < 1 << 20
 
     def test_ones_cap(self, monkeypatch):
@@ -547,9 +592,9 @@ class TestFactorSearch:
         m = BoolMatrix.from_rows(grid)
         assert fooling_lower_bound(m) == 3 and naive_boolean_rank(grid) == 5
         # 204: the refutation spends the budget exactly, and the skipped clique
-        # stage counts the node it would stop on; 206: the clique likewise ends
+        # stage counts the node it would stop on; 209: the clique likewise ends
         # on the budget, and the skipped cover search counts one more node
-        for max_nodes, lower in ((100, 4), (204, 5), (206, 5), (210, 5)):
+        for max_nodes, lower in ((100, 4), (204, 5), (209, 5), (213, 5)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert not result.complete
             assert result.nodes_explored == max_nodes + 1
@@ -557,15 +602,16 @@ class TestFactorSearch:
             assert cover_covers_exactly(m, result.witness)
         result = boolean_rank_exact(m)
         assert result.complete and result.optimum == 5
-        assert result.nodes_explored == 213
+        assert result.nodes_explored == 216
 
     def test_spent_budget_still_takes_the_clique_seed(self):
         # fooling 3, antichain 4: r = 4 is refuted in exactly 58 nodes, and
-        # the greedy clique seed, a fooling set of 6, costs no node
+        # the greedy clique seed, a fooling set of 6, costs no node; it meets
+        # the ceiling 6, the one-rectangle-per-row cover, so no node is ticked
         grid = ["11100101", "01111110", "01001000", "00001011", "01110000", "01101000"]
         m = BoolMatrix.from_rows(grid)
         assert naive_boolean_rank([list(map(int, row)) for row in grid]) == 6
-        for max_nodes, nodes in ((57, 58), (58, 59), (59, 59)):
+        for max_nodes, nodes in ((57, 58), (58, 58), (59, 58)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert result.complete and result.optimum == result.lower_bound == 6
             assert result.nodes_explored == nodes
@@ -601,14 +647,14 @@ class TestCoverSearch:
     @pytest.mark.parametrize(
         "q, rank, seed, nodes",
         [
-            (3, 7, 0, 6_839),
-            (3, 7, 1, 8_476),
-            (3, 7, 2, 24_229),
-            (3, 7, 3, 6_258),
-            (4, 8, 0, 2_451),
-            (4, 8, 1, 7_613),
-            (4, 8, 2, 8_836),
-            (4, 8, 3, 5_900),
+            pytest.param(3, 7, 0, 6_810, id="3-7-0"),
+            pytest.param(3, 7, 1, 8_491, id="3-7-1"),
+            pytest.param(3, 7, 2, 24_233, id="3-7-2"),
+            pytest.param(3, 7, 3, 6_259, id="3-7-3"),
+            pytest.param(4, 8, 0, 2_455, id="4-8-0"),
+            pytest.param(4, 8, 1, 7_636, id="4-8-1"),
+            pytest.param(4, 8, 2, 8_850, id="4-8-2"),
+            pytest.param(4, 8, 3, 5_924, id="4-8-3"),
         ],
     )
     def test_circulant_small_q_node_counts(self, q, rank, seed, nodes):
@@ -735,18 +781,18 @@ class TestRankUnderPermutation:
     @pytest.mark.parametrize(
         "name, seed, nodes",
         [
-            ("circulant(7,6)", 1, 1),
-            ("circulant(7,6)", 2, 1),
-            ("circulant(7,6)", 3, 1),
-            ("circulant(6,5)", 1, 1),
-            ("circulant(6,5)", 2, 2_471),
-            ("circulant(6,5)", 3, 12_714),
-            ("isolation_construct(12,4)", 1, 12),
-            ("isolation_construct(12,4)", 2, 12),
-            ("isolation_construct(12,4)", 3, 12),
-            ("triangular_family(3,3)", 1, 1),
-            ("triangular_family(3,3)", 2, 1),
-            ("triangular_family(3,3)", 3, 1),
+            pytest.param("circulant(7,6)", 1, 0, id="circulant(7,6)-1"),
+            pytest.param("circulant(7,6)", 2, 0, id="circulant(7,6)-2"),
+            pytest.param("circulant(7,6)", 3, 0, id="circulant(7,6)-3"),
+            pytest.param("circulant(6,5)", 1, 0, id="circulant(6,5)-1"),
+            pytest.param("circulant(6,5)", 2, 2_470, id="circulant(6,5)-2"),
+            pytest.param("circulant(6,5)", 3, 12_704, id="circulant(6,5)-3"),
+            pytest.param("isolation_construct(12,4)", 1, 25, id="isolation_construct(12,4)-1"),
+            pytest.param("isolation_construct(12,4)", 2, 11, id="isolation_construct(12,4)-2"),
+            pytest.param("isolation_construct(12,4)", 3, 20, id="isolation_construct(12,4)-3"),
+            pytest.param("triangular_family(3,3)", 1, 0, id="triangular_family(3,3)-1"),
+            pytest.param("triangular_family(3,3)", 2, 0, id="triangular_family(3,3)-2"),
+            pytest.param("triangular_family(3,3)", 3, 0, id="triangular_family(3,3)-3"),
         ],
     )
     def test_certified_at_known_rank(self, name, seed, nodes):
@@ -757,6 +803,65 @@ class TestRankUnderPermutation:
         assert result.complete and result.optimum == result.lower_bound == rank
         assert result.nodes_explored == nodes
         assert cover_covers_exactly(m, result.witness)
+
+
+@st.composite
+def graphs(draw):
+    """A random graph on at most 16 vertices, numbered in an arbitrary order.
+
+    Returns (adjacency masks, the mask of the vertices searched); the
+    vertices outside that mask keep their edges, which the search must
+    ignore.
+    """
+    n = draw(st.integers(1, 16))
+    edges = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    adj = [0] * n
+    for (u, v), edge in zip(combinations(range(n), 2), edges):
+        if edge:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    vertices = draw(st.integers(0, (1 << n) - 1))
+    return adj, vertices
+
+
+class TestMaxClique:
+    """_max_clique against networkx's exact search on random graphs."""
+
+    @staticmethod
+    def clique_number(adj, vertices):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_nodes_from(iter_bits(vertices))
+        g.add_edges_from((u, v) for u in iter_bits(vertices) for v in iter_bits(adj[u] & vertices))
+        return nx.max_weight_clique(g, weight=None)[1] if vertices else 0
+
+    @staticmethod
+    def assert_clique(adj, vertices, clique):
+        assert all(vertices >> v & 1 for v in clique)
+        assert all(adj[u] >> v & 1 for u, v in combinations(clique, 2))
+
+    @settings(max_examples=300)
+    @given(graphs(), st.integers(-1, 17))
+    def test_complete_run_finds_the_clique_number(self, graph, floor):
+        adj, vertices = graph
+        omega = self.clique_number(adj, vertices)
+        clique, complete = _max_clique(adj, vertices, _Nodes(10**6), floor, 17)
+        self.assert_clique(adj, vertices, clique)
+        assert complete
+        assert max(floor, len(clique)) == max(floor, omega)
+        assert not clique or len(clique) > floor
+
+    @settings(max_examples=300)
+    @given(graphs(), st.data())
+    def test_reachable_ceiling_returns_exactly_that_many(self, graph, data):
+        adj, vertices = graph
+        omega = self.clique_number(adj, vertices)
+        assume(omega > 0)
+        ceiling = data.draw(st.integers(1, omega))
+        floor = data.draw(st.integers(-1, ceiling - 1))
+        clique, complete = _max_clique(adj, vertices, _Nodes(10**6), floor, ceiling)
+        self.assert_clique(adj, vertices, clique)
+        assert complete and len(clique) == ceiling
 
 
 class TestMaxFoolingSet:
@@ -776,9 +881,9 @@ class TestMaxFoolingSet:
         m = BoolMatrix.from_rows(rows)
         calls = []
 
-        def spy(adj, vertices, nodes, floor):
-            found = _max_clique(adj, vertices, nodes, floor)
-            calls.append((adj, vertices, floor, found))
+        def spy(adj, vertices, nodes, floor, ceiling):
+            found = _max_clique(adj, vertices, nodes, floor, ceiling)
+            calls.append((adj, vertices, floor, ceiling, found))
             return found
 
         with mock.patch("isoset.oracle._max_clique", spy):
@@ -786,12 +891,14 @@ class TestMaxFoolingSet:
         fooling, largest, rank = (
             fooling_lower_bound(m), naive_max_fooling_set(rows), naive_boolean_rank(rows)
         )
-        for adj, vertices, floor, (clique, complete) in calls:
+        for adj, vertices, floor, ceiling, (clique, complete) in calls:
             bound = max(floor, len(clique))
             assert fooling <= bound <= rank
+            assert largest <= ceiling  # the ceiling is a proven bound
             if complete:
                 assert bound == max(floor, largest)
-            assert len(_max_clique(adj, vertices, _Nodes(10**6), 0)[0]) == largest
+            unreachable = vertices.bit_count() + 1
+            assert len(_max_clique(adj, vertices, _Nodes(10**6), 0, unreachable)[0]) == largest
         for max_nodes in (1, 2, 5, 20):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             if not result.complete:
@@ -857,15 +964,15 @@ class TestBudget:
         with pytest.raises(ValueError):
             RankBudget(max_bicliques=-1)
 
-    # the rank's fooling clique ends at node 63, and its cover search at 2,451
+    # the rank's fooling clique ends at node 67, and its cover search at 2,455
     @pytest.mark.parametrize(
         "search, check, nodes, budgets",
         [
             (
                 lambda budget: max_isolation_bruteforce(7, 3, budget),
                 lambda result: verify_isolation(result.witness).ok,
-                76,
-                range(1, 80),
+                79,
+                range(1, 83),
             ),
             (
                 lambda budget: max_triangular_bruteforce(2, 2, 6, budget),
@@ -876,8 +983,8 @@ class TestBudget:
             (
                 lambda budget: boolean_rank_exact(CIRCULANT_6_4, budget),
                 lambda result: cover_covers_exactly(CIRCULANT_6_4, result.witness),
-                2_451,
-                [*range(1, 70), *range(70, 2450, 61), 2450, 2451, 2452],
+                2_455,
+                [*range(1, 70), *range(70, 2454, 61), 2454, 2455, 2456],
             ),
         ],
         ids=["isolation(7,3)", "triangular(2,2,6)", "rank(circulant(6,4))"],
