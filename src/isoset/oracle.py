@@ -710,9 +710,11 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     isolation set depends on the order of rows and columns, so a larger
     fooling set is sought next: a maximum clique of the ones, two ones
     adjacent when no all-ones rectangle holds both.  Any clique above lb
-    raises it, even when the clique search runs out of budget, and a clique
-    the size of the best cover, its ceiling, closes the bracket and ends
-    the clique search.  A bracket open after that goes to branch-and-bound
+    raises it, even when the clique search runs out of budget.  Its ceiling
+    is the number of ones, out of reach: the best cover would also be a
+    proven one, but where a fooling set meets it the colour bound at the
+    root already closes the bracket, so it spared at most one node on every
+    pinned case.  A bracket open after that goes to branch-and-bound
     set cover over the 1-entries by the maximal rectangles, branching on
     the uncovered entry contained
     in the fewest rectangles, skipping the rectangles an earlier sibling
@@ -785,7 +787,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget; on a
         # spent budget the search still takes its greedy seed, at no node
-        clique, _ = _max_clique(compat, full, nodes, lower, len(best_cover))
+        clique, _ = _max_clique(compat, full, nodes, lower, total_ones)
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
     if not complete and nodes.left():

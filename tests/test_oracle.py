@@ -606,12 +606,11 @@ class TestFactorSearch:
 
     def test_spent_budget_still_takes_the_clique_seed(self):
         # fooling 3, antichain 4: r = 4 is refuted in exactly 58 nodes, and
-        # the greedy clique seed, a fooling set of 6, costs no node; it meets
-        # the ceiling 6, the one-rectangle-per-row cover, so no node is ticked
+        # the greedy clique seed, a fooling set of 6, costs no node
         grid = ["11100101", "01111110", "01001000", "00001011", "01110000", "01101000"]
         m = BoolMatrix.from_rows(grid)
         assert naive_boolean_rank([list(map(int, row)) for row in grid]) == 6
-        for max_nodes, nodes in ((57, 58), (58, 58), (59, 58)):
+        for max_nodes, nodes in ((57, 58), (58, 59), (59, 59)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert result.complete and result.optimum == result.lower_bound == 6
             assert result.nodes_explored == nodes
@@ -781,18 +780,18 @@ class TestRankUnderPermutation:
     @pytest.mark.parametrize(
         "name, seed, nodes",
         [
-            pytest.param("circulant(7,6)", 1, 0, id="circulant(7,6)-1"),
-            pytest.param("circulant(7,6)", 2, 0, id="circulant(7,6)-2"),
-            pytest.param("circulant(7,6)", 3, 0, id="circulant(7,6)-3"),
-            pytest.param("circulant(6,5)", 1, 0, id="circulant(6,5)-1"),
-            pytest.param("circulant(6,5)", 2, 2_470, id="circulant(6,5)-2"),
-            pytest.param("circulant(6,5)", 3, 12_704, id="circulant(6,5)-3"),
-            pytest.param("isolation_construct(12,4)", 1, 25, id="isolation_construct(12,4)-1"),
-            pytest.param("isolation_construct(12,4)", 2, 11, id="isolation_construct(12,4)-2"),
-            pytest.param("isolation_construct(12,4)", 3, 20, id="isolation_construct(12,4)-3"),
-            pytest.param("triangular_family(3,3)", 1, 0, id="triangular_family(3,3)-1"),
-            pytest.param("triangular_family(3,3)", 2, 0, id="triangular_family(3,3)-2"),
-            pytest.param("triangular_family(3,3)", 3, 0, id="triangular_family(3,3)-3"),
+            ("circulant(7,6)", 1, 1),
+            ("circulant(7,6)", 2, 1),
+            ("circulant(7,6)", 3, 1),
+            ("circulant(6,5)", 1, 1),
+            ("circulant(6,5)", 2, 2_471),
+            ("circulant(6,5)", 3, 12_704),
+            ("isolation_construct(12,4)", 1, 25),
+            ("isolation_construct(12,4)", 2, 11),
+            ("isolation_construct(12,4)", 3, 20),
+            ("triangular_family(3,3)", 1, 1),
+            ("triangular_family(3,3)", 2, 1),
+            ("triangular_family(3,3)", 3, 1),
         ],
     )
     def test_certified_at_known_rank(self, name, seed, nodes):
