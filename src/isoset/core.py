@@ -46,7 +46,7 @@ def iter_bits(mask: int) -> list[int]:
 
 
 def max_dimension() -> int:
-    """Active cap on the number of rows of a generated intersection matrix.
+    """The one size cap: rows of A(k, t), triangular pairs, ones tabulated by a rank run.
 
     Defaults to 2**16; the ISOSET_MAX_DIM environment variable overrides it.
     """
@@ -62,9 +62,9 @@ def max_dimension() -> int:
     return value
 
 
-def check_cap(size: int, what: str, cap: int | None = None) -> None:
-    """Raise ResourceLimitError when size exceeds cap (default: max_dimension())."""
-    cap = max_dimension() if cap is None else cap
+def check_cap(size: int, what: str) -> None:
+    """Raise ResourceLimitError when size exceeds the cap max_dimension()."""
+    cap = max_dimension()
     if size > cap:
         raise ResourceLimitError(f"{size} {what} exceed the cap {cap}")
 
@@ -308,14 +308,14 @@ def enumerate_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
     return tuple(Subset.of(c, k) for c in combos)
 
 
-def _capped_t_subsets(k: int, t: int, max_dim: int | None = None) -> tuple[Subset, ...]:
-    """enumerate_t_subsets(k, t), refused when C(k, t) exceeds ``max_dim``.
+def _capped_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
+    """enumerate_t_subsets(k, t), refused when C(k, t) exceeds max_dimension().
 
     An out-of-range (k, t) skips the cap, so enumerate_t_subsets raises
     RangeError before math.comb sees a negative argument.
     """
     if k >= t >= 1:
-        check_cap(comb(k, t), f"rows of A_({k},{t})", max_dim)
+        check_cap(comb(k, t), f"rows of A_({k},{t})")
     return enumerate_t_subsets(k, t)
 
 
@@ -349,12 +349,12 @@ def family_to_matrix(fp: FamilyPair) -> BoolMatrix:
     return realize(fp.rows, fp.cols)
 
 
-def build_A(k: int, t: int, max_dim: int | None = None) -> BoolMatrix:
+def build_A(k: int, t: int) -> BoolMatrix:
     """Full intersection matrix of all t-subsets of [k].
 
     Rows and columns are indexed by enumerate_t_subsets(k, t); the matrix is
-    symmetric with an all-ones diagonal.  Refuses instances whose dimension
-    (k choose t) exceeds ``max_dim`` (default: max_dimension()).
+    symmetric with an all-ones diagonal.  Raises ResourceLimitError when its
+    dimension C(k, t) exceeds max_dimension() (the ISOSET_MAX_DIM cap).
     """
-    subsets = _capped_t_subsets(k, t, max_dim)
+    subsets = _capped_t_subsets(k, t)
     return realize(subsets, subsets)

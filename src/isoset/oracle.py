@@ -127,7 +127,7 @@ def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
     return out
 
 
-def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = None) -> CompatGraph:
+def compat_graph(k: int, t: int, identity: bool = False) -> CompatGraph:
     """Build the isolation (or, with identity=True, identity) compatibility graph.
 
     Two vertices (x1, y1), (x2, y2) are adjacent when x1 != x2, y1 != y2 and
@@ -135,7 +135,7 @@ def compat_graph(k: int, t: int, identity: bool = False, max_dim: int | None = N
     identity graph requires both to be empty.  Raises ResourceLimitError
     when C(k, t) exceeds the dimension cap.
     """
-    masks = [s.bits for s in _capped_t_subsets(k, t, max_dim)]
+    masks = [s.bits for s in _capped_t_subsets(k, t)]
     pairs = [(x, y) for y in masks for x in masks if x & y]  # colex pair order
     vertices = tuple((Subset(k, x), Subset(k, y)) for x, y in pairs)
     return CompatGraph(vertices, tuple(_compatible(pairs, identity)))
@@ -705,18 +705,17 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     bound is the larger and below that cover, a row-set factor search runs
     once at r = lb (see _factor_search for its layer order): a find
     certifies rank lb, a refutation raises lb by one.  Stage 3, only for a
-    bracket still open: the maximal rectangles are enumerated (up to the
-    cap), and a greedy cover by them may lower the upper bound.  The greedy
-    isolation set depends on the order of rows and columns, so a larger
-    fooling set is sought next: a maximum clique of the ones, two ones
-    adjacent when no all-ones rectangle holds both.  Any clique above lb
-    raises it, even when the clique search runs out of budget.  Its ceiling
-    is the number of ones, out of reach: the best cover would also be a
-    proven one, but where a fooling set meets it the colour bound at the
-    root already closes the bracket, so it spared at most one node on every
-    pinned case.  A bracket open after that goes to branch-and-bound
-    set cover over the 1-entries by the maximal rectangles, branching on
-    the uncovered entry contained
+    bracket still open, alone builds tables with one entry per one, so it
+    alone raises ResourceLimitError when the ones exceed max_dimension().
+    The maximal rectangles are enumerated (up to the biclique cap), and a
+    greedy cover by them may lower the upper bound.
+    The greedy isolation set depends on the order of rows and columns, so
+    a larger fooling set is sought next: a maximum clique of the ones, two
+    ones adjacent when no all-ones rectangle holds both.  Any clique above
+    lb raises it, even when the clique search runs out of budget.  Its
+    ceiling is the best cover, which no fooling set exceeds.  A bracket
+    open after that goes to branch-and-bound set cover over the 1-entries
+    by the maximal rectangles, branching on the uncovered entry contained
     in the fewest rectangles, skipping the rectangles an earlier sibling
     already tried, pruning with a greedy isolation-set bound, and stopping
     at a cover of lb rectangles.  All three searches tick one node counter
@@ -733,7 +732,6 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     """
     budget = budget or RankBudget()
     total_ones = m.count_ones()
-    check_cap(total_ones, "one-entries")
     if total_ones == 0:
         return SearchResult(0, (), 0, True, 0)
 
@@ -754,6 +752,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     if len(best_cover) == lower:
         return _rank_result(m, best_cover, nodes.count, True, lower)
 
+    check_cap(total_ones, "one-entries")
     rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
     # the entry set of the ones of row i in cols, a subset of row i
     w = m.n_cols
@@ -787,7 +786,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget; on a
         # spent budget the search still takes its greedy seed, at no node
-        clique, _ = _max_clique(compat, full, nodes, lower, total_ones)
+        clique, _ = _max_clique(compat, full, nodes, lower, len(best_cover))
         lower = max(lower, len(clique))
         complete = len(best_cover) == lower
     if not complete and nodes.left():

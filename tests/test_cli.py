@@ -255,6 +255,22 @@ class TestRank:
         assert code == 0
         assert out.splitlines()[0] == "rank 8"
 
+    def test_gen_A_8_2(self, capsys):
+        # the fooling clique's greedy seed meets the greedy cover of 8 at no node
+        code, out = run(capsys, "rank", "--gen-A", "8", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "rank 8"
+
+    def test_ones_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        # 60 ones over the cap 50, and the bracket stays open until stage 3
+        path = tmp_path / "circulant.txt"
+        path.write_text(matrix_to_text(circulant_isolation(6, 4, allow_small_q=True)))
+        monkeypatch.setenv("ISOSET_MAX_DIM", "50")
+        code = main(["rank", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "one-entries" in err
+
     def test_identity_adds_decomposition_certificate(self, capsys, tmp_path):
         path = tmp_path / "id4.txt"
         path.write_text("4 4\n1000\n0100\n0010\n0001\n")

@@ -165,9 +165,10 @@ class TestBuildA:
         subsets = enumerate_t_subsets(5, 2)
         assert build_A(5, 2) == realize(subsets, subsets)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "10")
         with pytest.raises(ResourceLimitError):
-            build_A(6, 3, max_dim=10)
+            build_A(6, 3)
 
     @pytest.mark.parametrize("build", [build_A, compat_graph])
     def test_negative_t_is_a_range_error(self, build):

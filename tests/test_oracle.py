@@ -86,9 +86,10 @@ class TestCompatGraph:
         for u in range(len(loose.vertices)):
             assert strict.adjacency[u] & ~loose.adjacency[u] == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "10")
         with pytest.raises(ResourceLimitError):
-            compat_graph(6, 3, max_dim=10)
+            compat_graph(6, 3)
 
     @pytest.mark.parametrize("k,t", [(5, 2), (6, 3)])
     @pytest.mark.parametrize("identity", [False, True])
@@ -440,9 +441,17 @@ class TestBooleanRank:
         assert peak < 1 << 20
 
     def test_ones_cap(self, monkeypatch):
-        monkeypatch.setenv("ISOSET_MAX_DIM", "5")
+        # 60 ones: fooling 7 and antichain 5 leave the bracket open, and
+        # stage 3 builds its per-one tables
+        monkeypatch.setenv("ISOSET_MAX_DIM", "50")
         with pytest.raises(ResourceLimitError):
-            boolean_rank_exact(BoolMatrix.identity(6))
+            boolean_rank_exact(circulant_isolation(6, 4, allow_small_q=True))
+
+    def test_ones_cap_spares_the_root_bounds(self, monkeypatch):
+        # the greedy fooling set meets the row cover, so no per-one table is built
+        monkeypatch.setenv("ISOSET_MAX_DIM", "5")
+        result = boolean_rank_exact(BoolMatrix.identity(6))
+        assert result.complete and result.optimum == 6 and result.nodes_explored == 0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_complement_of_identity(self, n):
@@ -507,20 +516,29 @@ class TestAntichainBound:
 
 
 class TestRankOfA:
-    # the C(k, t) rows are distinct and of one weight, and C(k, t) > C(k - 1, (k - 1) // 2)
-    # here, so the antichain bound is k; the k element stars cover A(k, t)
+    # the C(k, t) rows are distinct and of one weight.  Where C(k, t) > C(k - 1, (k - 1) // 2),
+    # all but A(8..10, 2) here, the antichain bound is k and the factor search finds the k
+    # element stars with no per-one table, so A(11, 4) and A(12, 4) pass although their
+    # ones exceed the default cap.  A(8..10, 2) close in stage 3 at no node: the clique's
+    # greedy seed of k meets its ceiling, the greedy cover by the k stars
     @pytest.mark.parametrize(
         "k, t, nodes",
         [
             (5, 2, 11),
             (6, 2, 16),
             (7, 2, 22),
+            (8, 2, 0),
+            (9, 2, 0),
+            (10, 2, 0),
             (6, 3, 21),
             (7, 3, 36),
             (8, 3, 57),
             (8, 4, 71),
             (9, 3, 85),
             (9, 4, 127),
+            (10, 4, 211),
+            (11, 4, 331),
+            pytest.param(12, 4, 496, marks=pytest.mark.slow),
         ],
     )
     def test_rank_is_k(self, k, t, nodes):
@@ -532,9 +550,10 @@ class TestRankOfA:
 
     # C(8, 2) > 8 distinct rows of one weight cannot all get singletons, so
     # the layers run from p0 = 2, the element stars' layer; middle layer first
-    # takes more than 200,000 nodes.  boolean_rank_exact(build_A(8, 2)) refutes
-    # lb 7 before it searches r = 8, so this calls the factor search directly;
-    # test_rank_is_k pins A(5..7, 2), where middle first needs 37,406 nodes at k = 6
+    # takes more than 200,000 nodes.  boolean_rank_exact(build_A(8, 2)) never
+    # calls the factor search (its greedy fooling set and antichain bound are
+    # both 7), so this calls it directly; test_rank_is_k pins A(5..7, 2), where
+    # middle first needs 37,406 nodes at k = 6
     def test_factor_search_starts_at_the_star_layer(self):
         nodes = _Nodes(10**6)
         cover, complete = _factor_search(build_A(8, 2), 8, nodes)
@@ -606,11 +625,12 @@ class TestFactorSearch:
 
     def test_spent_budget_still_takes_the_clique_seed(self):
         # fooling 3, antichain 4: r = 4 is refuted in exactly 58 nodes, and
-        # the greedy clique seed, a fooling set of 6, costs no node
+        # the greedy clique seed, a fooling set of 6, costs no node; it meets
+        # the clique's ceiling, the greedy cover of 6, so no budget adds a node
         grid = ["11100101", "01111110", "01001000", "00001011", "01110000", "01101000"]
         m = BoolMatrix.from_rows(grid)
         assert naive_boolean_rank([list(map(int, row)) for row in grid]) == 6
-        for max_nodes, nodes in ((57, 58), (58, 59), (59, 59)):
+        for max_nodes, nodes in ((57, 58), (58, 58), (59, 58)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert result.complete and result.optimum == result.lower_bound == 6
             assert result.nodes_explored == nodes
@@ -780,18 +800,18 @@ class TestRankUnderPermutation:
     @pytest.mark.parametrize(
         "name, seed, nodes",
         [
-            ("circulant(7,6)", 1, 1),
-            ("circulant(7,6)", 2, 1),
-            ("circulant(7,6)", 3, 1),
-            ("circulant(6,5)", 1, 1),
-            ("circulant(6,5)", 2, 2_471),
-            ("circulant(6,5)", 3, 12_704),
-            ("isolation_construct(12,4)", 1, 25),
-            ("isolation_construct(12,4)", 2, 11),
-            ("isolation_construct(12,4)", 3, 20),
-            ("triangular_family(3,3)", 1, 1),
-            ("triangular_family(3,3)", 2, 1),
-            ("triangular_family(3,3)", 3, 1),
+            pytest.param("circulant(7,6)", 1, 0, id="circulant(7,6)-1"),
+            pytest.param("circulant(7,6)", 2, 0, id="circulant(7,6)-2"),
+            pytest.param("circulant(7,6)", 3, 0, id="circulant(7,6)-3"),
+            pytest.param("circulant(6,5)", 1, 0, id="circulant(6,5)-1"),
+            pytest.param("circulant(6,5)", 2, 2_470, id="circulant(6,5)-2"),
+            pytest.param("circulant(6,5)", 3, 12_704, id="circulant(6,5)-3"),
+            pytest.param("isolation_construct(12,4)", 1, 25, id="isolation_construct(12,4)-1"),
+            pytest.param("isolation_construct(12,4)", 2, 11, id="isolation_construct(12,4)-2"),
+            pytest.param("isolation_construct(12,4)", 3, 20, id="isolation_construct(12,4)-3"),
+            pytest.param("triangular_family(3,3)", 1, 0, id="triangular_family(3,3)-1"),
+            pytest.param("triangular_family(3,3)", 2, 0, id="triangular_family(3,3)-2"),
+            pytest.param("triangular_family(3,3)", 3, 0, id="triangular_family(3,3)-3"),
         ],
     )
     def test_certified_at_known_rank(self, name, seed, nodes):
