@@ -1,13 +1,14 @@
 """Command-line front end: construct, verify, search, rank, table.
 
 Exit codes: 0 ok, 1 pattern violation, 2 range error or unwritable output
-path, 3 parse error, 4 incomplete search.  Library errors map to their
-codes in ``main``.
+(a path that cannot be written, or a stdout closed early), 3 parse error,
+4 incomplete search.  Library errors map to their codes in ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -273,6 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device.
+
+    What the closed pipe left in stdout's buffer is flushed again at exit,
+    which would print "Exception ignored" with a traceback.  A stdout with
+    no descriptor holds no such buffer.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -284,11 +301,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _fail(EXIT_RANGE, str(exc))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except ParseError as exc:
         return _fail(EXIT_PARSE, str(exc))
     except (RangeError, ResourceLimitError) as exc:
         return _fail(EXIT_RANGE, str(exc))
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_RANGE
 
 
 if __name__ == "__main__":

@@ -626,23 +626,27 @@ def _cover_search(
 ) -> tuple[list[int] | None, bool]:
     """Branch-and-bound set cover of the entry set ``full`` by ``rect_masks``.
 
-    Seeks covers by fewer than ``best`` rectangles, branching on the
-    uncovered entry contained in the fewest rectangles, ties to the lowest
-    entry bit, and pruning with a greedy isolation set of the uncovered
-    entries (compat[x] holds the entries that may join entry x in one).
-    The entries are grouped once into one mask per rectangle count, so a
-    node finds its branch entry in the first count class that meets the
-    uncovered set.  Siblings exclude each other: once a child returns
-    unfinished, its rectangle is banned from the later siblings and their
-    subtrees, since every cover that holds it and a later sibling's
-    rectangle was already searched in its own subtree.  A cover by
-    ``floor`` rectangles, a proven lower bound, ends the search.  Returns
-    (the best cover found as rectangle indices, or None; whether the search
-    finished).
+    Seeks covers by fewer than ``best`` rectangles and prunes with a greedy
+    isolation set of the uncovered entries (compat[x] holds the entries
+    that may join entry x in one).  The entries are grouped once into one
+    mask per rectangle count, and the greedy set takes them count class by
+    count class, fewest rectangles first, lowest entry bit within a class:
+    entries held by few rectangles clash with few others, so the set tends
+    to grow larger than in plain bit order.  Its first pick, the uncovered
+    entry in the fewest rectangles, is also the branch entry, so one pass
+    gives both.  Each entry's rectangles are tried largest first, ties to the
+    lowest index, so good covers come early and the incumbent prunes
+    sooner.  Siblings exclude each other: once a child returns unfinished,
+    its rectangle is banned from the later siblings and their subtrees,
+    since every cover that holds it and a later sibling's rectangle was
+    already searched in its own subtree; this holds for any sibling order.
+    A cover by ``floor`` rectangles, a proven lower bound, ends the search.
+    Returns (the best cover found as rectangle indices, or None; whether
+    the search finished).
     """
     entry_rects: list[list[int]] = [[] for _ in range(full.bit_length())]
-    for ri, rm in enumerate(rect_masks):
-        for x in iter_bits(rm):
+    for ri in sorted(range(len(rect_masks)), key=lambda ri: -rect_masks[ri].bit_count()):
+        for x in iter_bits(rect_masks[ri]):
             entry_rects[x].append(ri)
     by_count: dict[int, int] = {}
     for x in iter_bits(full):
@@ -650,14 +654,26 @@ def _cover_search(
         by_count[count] = by_count.get(count, 0) | 1 << x
     classes = [by_count[count] for count in sorted(by_count)]
 
-    def isolation_bound(uncovered: int) -> int:
+    def bound_and_branch(uncovered: int, need: int) -> tuple[int, int]:
+        """(size of the class-ordered greedy isolation set, its first entry).
+
+        The count stops at ``need``, the size that already prunes the node.
+        """
         count = 0
+        first = -1
         allowed = uncovered
-        while allowed:
-            low = allowed & -allowed
-            count += 1
-            allowed &= compat[low.bit_length() - 1]
-        return count
+        for cls in classes:
+            pick = allowed & cls
+            while pick:
+                x = (pick & -pick).bit_length() - 1
+                if not count:
+                    first = x
+                count += 1
+                if count >= need:
+                    return count, first
+                allowed &= compat[x]
+                pick &= allowed
+        return count, first
 
     chosen: list[int] = []
     cover: list[int] | None = None
@@ -669,14 +685,9 @@ def _cover_search(
             if len(chosen) < best:
                 best, cover = len(chosen), chosen.copy()
             return best <= floor
-        uncovered = full & ~covered
-        if len(chosen) + isolation_bound(uncovered) >= best:
+        bound, branch = bound_and_branch(full & ~covered, best - len(chosen))
+        if len(chosen) + bound >= best:
             return False
-        for cls in classes:  # they partition full, so one meets uncovered
-            pick = uncovered & cls
-            if pick:
-                break
-        branch = (pick & -pick).bit_length() - 1
         for ri in entry_rects[branch]:  # empty when no enumerated rectangle holds it
             if banned >> ri & 1:
                 continue
@@ -716,17 +727,17 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     ceiling is the best cover, which no fooling set exceeds.  A bracket
     open after that goes to branch-and-bound set cover over the 1-entries
     by the maximal rectangles, branching on the uncovered entry contained
-    in the fewest rectangles, skipping the rectangles an earlier sibling
-    already tried, pruning with a greedy isolation-set bound, and stopping
-    at a cover of lb rectangles.  All three searches tick one node counter
-    of max_nodes; a stage that finds no node left counts the node it would
-    stop on, so an exhausted run reports max_nodes + 1 nodes.  The clique
-    stage runs even then, as its greedy seed costs no node; the cover
-    search is skipped.
+    in the fewest rectangles, trying its rectangles largest first and
+    skipping those an earlier sibling already tried, pruning with a greedy
+    isolation set taken fewest-rectangle entries first (see _cover_search),
+    and stopping at a cover of lb rectangles.  All three searches tick one
+    node counter of max_nodes; a stage that finds no node left counts the
+    node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
+    The clique stage runs even then, as its greedy seed costs no node; the
+    cover search is skipped.
     Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
     cells of m are ones, else bit k for the k-th one; both run row-major, so
-    results agree and the set cover's root bound is fooling_lower_bound's
-    greedy.  The witness is a tuple of rectangles (row indices, col
+    results agree.  The witness is a tuple of rectangles (row indices, col
     indices), 1-based.  Incomplete runs (rectangle cap or node budget)
     report the best cover found as ``optimum`` and lb in ``lower_bound``.
     """

@@ -111,6 +111,65 @@ def naive_boolean_rank(grid):
     )
 
 
+def closure_maximal_rectangles(grid):
+    """Every maximal all-ones rectangle of a 0/1 grid, as (row set, col set).
+
+    A rectangle is maximal exactly when its row set is closed: it is every
+    row holding all of its common columns.  The closed row sets with a
+    nonempty column set are the closures of the single rows and of the
+    unions of two closed sets, so they are grown from the single rows until
+    no union gives a new one.
+    """
+    rows, cols = range(len(grid)), range(len(grid[0]))
+
+    def common(row_set):
+        return frozenset(j for j in cols if all(grid[i][j] for i in row_set))
+
+    def closure(row_set):
+        shared = common(row_set)
+        return frozenset(i for i in rows if all(grid[i][j] for j in shared)), shared
+
+    found = {}
+    todo = [closure({i}) for i in rows if any(grid[i])]
+    while todo:
+        row_set, shared = todo.pop()
+        if not shared or row_set in found:
+            continue
+        found[row_set] = shared
+        todo.extend(closure(row_set | other) for other in list(found))
+    return list(found.items())
+
+
+def ilp_boolean_rank(grid):
+    """Boolean rank of a 0/1 grid as a set-cover integer program.
+
+    One binary variable per maximal rectangle (closure_maximal_rectangles),
+    one constraint per one: the rectangles holding it sum to at least 1.
+    The fewest rectangles is solved by scipy's HiGHS MILP solver, which
+    shares no code with the library's rank engine.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    ones = [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v]
+    if not ones:
+        return 0
+    rects = closure_maximal_rectangles(grid)
+    holds = np.array(
+        [[i in row_set and j in col_set for row_set, col_set in rects] for i, j in ones],
+        dtype=float,
+    )
+    n = len(rects)
+    result = milp(
+        np.ones(n),
+        constraints=LinearConstraint(holds, lb=1),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+    )
+    assert result.status == 0, result.message
+    return round(result.fun)
+
+
 def naive_greedy_cover(rect_masks, full):
     """Greedy cover of the bits of full by rect_masks, as indices.
 

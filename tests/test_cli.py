@@ -1,7 +1,12 @@
 """CLI verbs, exit codes, golden grids, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
 from isoset import circulant_isolation, family_from_json, matrix_to_text, verify_isolation
 from isoset.cli import main
@@ -383,6 +388,47 @@ class TestTable:
         assert code == 2
         code, _ = run(capsys, "table", "--t", "2", "--k-range", "x..y")
         assert code == 2
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write and flush fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+CLOSED_PIPE_COMMANDS = [
+    pytest.param(["rank", "--gen-A", "8", "2"], id="rank-gen-A-8-2"),
+    pytest.param(["construct", "triangular", "--a", "6", "--b", "6", "--format", "grid"],
+                 id="construct-triangular-grid"),
+]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", CLOSED_PIPE_COMMANDS)
+    def test_exit_2_without_traceback(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", CLOSED_PIPE_COMMANDS)
+    def test_buffered_output_is_not_flushed_again_at_exit(self, argv):
+        # the read end is closed before the child starts, and its stdout is
+        # block-buffered, so the output meets the closed pipe in main's flush;
+        # without that flush it would meet it at exit, as "Exception ignored"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "isoset.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
 
 class TestDeterminism:

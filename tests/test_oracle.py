@@ -51,6 +51,8 @@ from isoset.oracle import (
 )
 
 from conftest import (
+    closure_maximal_rectangles,
+    ilp_boolean_rank,
     naive_boolean_rank,
     naive_greedy_cover,
     naive_max_fooling_set,
@@ -344,6 +346,11 @@ def j_minus_i(n: int) -> BoolMatrix:
 CIRCULANT_6_4 = circulant_isolation(6, 4, allow_small_q=True)
 
 
+def grid_of(m: BoolMatrix) -> list[list[int]]:
+    """The 0/1 grid of m, row by row."""
+    return [[row >> j & 1 for j in range(m.n_cols)] for row in m.rows]
+
+
 def cover_covers_exactly(m: BoolMatrix, cover) -> bool:
     """Independent check: rectangles are all-ones and their union is the ones of m."""
     covered = set()
@@ -437,7 +444,7 @@ class TestBooleanRank:
         finally:
             tracemalloc.stop()
         assert result.complete and result.optimum == 8
-        assert result.nodes_explored == 2_455
+        assert result.nodes_explored == 782
         assert peak < 1 << 20
 
     def test_ones_cap(self, monkeypatch):
@@ -463,9 +470,11 @@ class TestBooleanRank:
         assert cover_covers_exactly(m, result.witness)
 
     def test_incomplete_lower_bound_is_root_bound(self):
-        # fooling 7 is above the antichain bound 5, so no factor search runs
+        # fooling 7 is above the antichain bound 5, so no factor search runs;
+        # the clique finds no fooling set above 7, and the cover search needs
+        # 782 nodes in all, so a budget of 500 leaves the bracket open
         m = circulant_isolation(6, 4, allow_small_q=True)
-        result = boolean_rank_exact(m, RankBudget(max_nodes=1000))
+        result = boolean_rank_exact(m, RankBudget(max_nodes=500))
         assert not result.complete
         assert result.lower_bound == fooling_lower_bound(m)
         assert result.lower_bound <= 8 <= result.optimum
@@ -612,8 +621,9 @@ class TestFactorSearch:
         assert fooling_lower_bound(m) == 3 and naive_boolean_rank(grid) == 5
         # 204: the refutation spends the budget exactly, and the skipped clique
         # stage counts the node it would stop on; 209: the clique likewise ends
-        # on the budget, and the skipped cover search counts one more node
-        for max_nodes, lower in ((100, 4), (204, 5), (209, 5), (213, 5)):
+        # on the budget, and the skipped cover search counts one more node;
+        # 222: the cover search stops one node short of its end
+        for max_nodes, lower in ((100, 4), (204, 5), (209, 5), (222, 5)):
             result = boolean_rank_exact(m, RankBudget(max_nodes=max_nodes))
             assert not result.complete
             assert result.nodes_explored == max_nodes + 1
@@ -621,7 +631,7 @@ class TestFactorSearch:
             assert cover_covers_exactly(m, result.witness)
         result = boolean_rank_exact(m)
         assert result.complete and result.optimum == 5
-        assert result.nodes_explored == 216
+        assert result.nodes_explored == 223
 
     def test_spent_budget_still_takes_the_clique_seed(self):
         # fooling 3, antichain 4: r = 4 is refuted in exactly 58 nodes, and
@@ -666,14 +676,14 @@ class TestCoverSearch:
     @pytest.mark.parametrize(
         "q, rank, seed, nodes",
         [
-            pytest.param(3, 7, 0, 6_810, id="3-7-0"),
-            pytest.param(3, 7, 1, 8_491, id="3-7-1"),
-            pytest.param(3, 7, 2, 24_233, id="3-7-2"),
-            pytest.param(3, 7, 3, 6_259, id="3-7-3"),
-            pytest.param(4, 8, 0, 2_455, id="4-8-0"),
-            pytest.param(4, 8, 1, 7_636, id="4-8-1"),
-            pytest.param(4, 8, 2, 8_850, id="4-8-2"),
-            pytest.param(4, 8, 3, 5_924, id="4-8-3"),
+            pytest.param(3, 7, 0, 5_301, id="3-7-0"),
+            pytest.param(3, 7, 1, 3_688, id="3-7-1"),
+            pytest.param(3, 7, 2, 23_908, id="3-7-2"),
+            pytest.param(3, 7, 3, 3_479, id="3-7-3"),
+            pytest.param(4, 8, 0, 782, id="4-8-0"),
+            pytest.param(4, 8, 1, 3_404, id="4-8-1"),
+            pytest.param(4, 8, 2, 8_360, id="4-8-2"),
+            pytest.param(4, 8, 3, 2_849, id="4-8-3"),
         ],
     )
     def test_circulant_small_q_node_counts(self, q, rank, seed, nodes):
@@ -726,6 +736,57 @@ class TestCoverSearch:
                 rect_masks, full, compat, len(rects) + 1, 0, _Nodes(max_nodes)
             )
             assert cover is None or cover_covers_exactly(m, witness(cover))
+
+
+class TestIlpRankReference:
+    """boolean_rank_exact against a set-cover integer program (scipy, tests only).
+
+    The program's rectangles come from a closure of row sets in Python sets,
+    and HiGHS solves it, so no step shares code with the rank engine.
+    """
+
+    @pytest.mark.parametrize("q, rank", [(3, 7), (4, 8)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_circulant_small_q(self, q, rank, seed):
+        pytest.importorskip("scipy.optimize")
+        m = circulant_isolation(6, q, allow_small_q=True)
+        if seed:
+            m = permute(m, seed)
+        result = boolean_rank_exact(m)
+        assert result.complete
+        assert result.optimum == ilp_boolean_rank(grid_of(m)) == rank
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=9,
+            )
+        )
+    )
+    def test_random_matrices(self, rows):
+        pytest.importorskip("scipy.optimize")
+        m = BoolMatrix.from_rows(rows)
+        result = boolean_rank_exact(m)
+        assert result.complete and result.optimum == ilp_boolean_rank(rows)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=7,
+            )
+        )
+    )
+    def test_closure_finds_the_enumerated_rectangles(self, rows):
+        m = BoolMatrix.from_rows(rows)
+        rects, complete = _maximal_bicliques(m, 10**6)
+        assert complete
+        enumerated = {(frozenset(iter_bits(r)), frozenset(iter_bits(c))) for r, c in rects}
+        assert enumerated == set(closure_maximal_rectangles(rows))
 
 
 class TestGreedyCover:
@@ -983,7 +1044,7 @@ class TestBudget:
         with pytest.raises(ValueError):
             RankBudget(max_bicliques=-1)
 
-    # the rank's fooling clique ends at node 67, and its cover search at 2,455
+    # the rank's fooling clique ends at node 67, and its cover search at 782
     @pytest.mark.parametrize(
         "search, check, nodes, budgets",
         [
@@ -1002,8 +1063,8 @@ class TestBudget:
             (
                 lambda budget: boolean_rank_exact(CIRCULANT_6_4, budget),
                 lambda result: cover_covers_exactly(CIRCULANT_6_4, result.witness),
-                2_455,
-                [*range(1, 70), *range(70, 2454, 61), 2454, 2455, 2456],
+                782,
+                [*range(1, 70), *range(70, 781, 20), 781, 782, 783],
             ),
         ],
         ids=["isolation(7,3)", "triangular(2,2,6)", "rank(circulant(6,4))"],
