@@ -9,9 +9,7 @@ families.  All constructions are deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import replace
-from itertools import count, islice
 from math import comb
 
 from .core import (
@@ -267,9 +265,7 @@ def triangular_family(a: int, b: int) -> FamilyPair:
     if a < 1 or b < 1:
         raise RangeError(f"need a >= 1 and b >= 1, got a={a}, b={b}")
     check_cap(comb(a + b, a) - 1, f"pairs of triangular({a},{b})")
-    fresh = count(1)
-    rows, cols = _triangular_blocks(a, b, fresh)
-    universe = next(fresh) - 1
+    rows, cols, universe = _triangular_blocks(a, b, 0)
     meta = {
         "construction": "triangular",
         "a": a,
@@ -277,27 +273,37 @@ def triangular_family(a: int, b: int) -> FamilyPair:
         "size": len(rows),
         "universe_allocated": universe,
     }
-    return FamilyPair.from_elements(rows, cols, universe, meta)
+    return FamilyPair(
+        universe,
+        a,
+        b,
+        tuple(Subset(universe, mask) for mask in rows),
+        tuple(Subset(universe, mask) for mask in cols),
+        meta,
+    )
 
 
-def _triangular_blocks(a: int, b: int, fresh: Iterator[int]) -> tuple[list, list]:
-    """Recursive core; returns (row element lists, col element lists)."""
+def _triangular_blocks(a: int, b: int, low: int) -> tuple[list[int], list[int], int]:
+    """Recursive core: (row masks, col masks, next fresh bit).
+
+    Fresh elements are taken from bit ``low`` up, bit e - 1 standing for
+    element e.  The elements one step takes are consecutive bits, so the
+    base blocks and the bridge are built as shifted runs of ones.
+    """
     if b == 1:
-        e = list(islice(fresh, 2 * a - 1))
-        rows = [[e[x] for x in range(i)] + [e[x] for x in range(a, 2 * a - i)] for i in range(1, a + 1)]
-        cols = [[e[j]] for j in range(a)]
-        return rows, cols
+        # of the 2a - 1 fresh elements, row i takes those numbered 0..i-1 and a..2a-i-1
+        rows = [((1 << i) - 1 | ((1 << (a - i)) - 1) << a) << low for i in range(1, a + 1)]
+        cols = [1 << (low + j) for j in range(a)]
+        return rows, cols, low + 2 * a - 1
     if a == 1:
-        e = list(islice(fresh, 2 * b - 1))
-        rows = [[e[i]] for i in range(b)]
-        cols = [[e[x] for x in range(j, b)] + [e[x] for x in range(b, b + j)] for j in range(b)]
-        return rows, cols
-    r1, c1 = _triangular_blocks(a, b - 1, fresh)
-    r2, c2 = _triangular_blocks(a - 1, b, fresh)
-    x = next(fresh)
-    bridge_row = [x] + list(islice(fresh, a - 1))
-    bridge_col = [x] + list(islice(fresh, b - 1))
-    rows = r1 + [bridge_row] + [row + [x] for row in r2]
-    cols = [col + [x] for col in c1] + [bridge_col] + c2
-    return rows, cols
-
+        rows = [1 << (low + i) for i in range(b)]
+        cols = [((1 << b) - 1) << (low + j) for j in range(b)]  # b elements from the j-th
+        return rows, cols, low + 2 * b - 1
+    r1, c1, low = _triangular_blocks(a, b - 1, low)
+    r2, c2, low = _triangular_blocks(a - 1, b, low)
+    x = 1 << low
+    bridge_row = ((1 << a) - 1) << low  # x and the next a - 1 fresh elements
+    bridge_col = x | ((1 << (b - 1)) - 1) << (low + a)  # x and the b - 1 after those
+    rows = r1 + [bridge_row] + [row | x for row in r2]
+    cols = [col | x for col in c1] + [bridge_col] + c2
+    return rows, cols, low + a + b - 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Sequence
@@ -122,6 +123,8 @@ class FamilyPair:
     Always square and nonempty: rows and cols have equal, positive length.
     Every row subset has cardinality ``row_size`` and every column subset
     ``col_size``.  ``meta`` records the construction name and its parameters.
+    The realized matrix is computed on first use and kept; it is not a
+    field, so equality, ``dataclasses.replace`` and pickling ignore it.
     """
 
     universe: int
@@ -152,6 +155,16 @@ class FamilyPair:
     @property
     def size(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def matrix(self) -> "BoolMatrix":
+        """The intersection matrix: 1 at (i, j) iff rows[i] meets cols[j]."""
+        return realize(self.rows, self.cols)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("matrix", None)
+        return state
 
     @classmethod
     def from_elements(
@@ -345,8 +358,12 @@ def realize(rows: Sequence[Subset], cols: Sequence[Subset]) -> BoolMatrix:
 
 
 def family_to_matrix(fp: FamilyPair) -> BoolMatrix:
-    """Intersection matrix of a family pair: 1 at (i, j) iff rows[i] meets cols[j]."""
-    return realize(fp.rows, fp.cols)
+    """Intersection matrix of a family pair: 1 at (i, j) iff rows[i] meets cols[j].
+
+    Realized once per family and shared by every later call, the family
+    verifiers' included.
+    """
+    return fp.matrix
 
 
 def build_A(k: int, t: int) -> BoolMatrix:

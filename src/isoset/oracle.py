@@ -168,6 +168,17 @@ def _neighbours(
     return out
 
 
+def _greedy_clique(adj: Sequence[int], vertices: int, order: list[int]) -> list[int]:
+    """The clique taken greedily in ``order`` from the set bits of ``vertices``."""
+    cand = vertices
+    greedy: list[int] = []
+    for v in order:  # cand only shrinks, so one pass meets its lowest-rank vertex first
+        if cand >> v & 1:
+            greedy.append(v)
+            cand &= adj[v]
+    return greedy
+
+
 def _max_clique(
     adj: Sequence[int], vertices: int, nodes: _Nodes, floor: int, ceiling: int
 ) -> tuple[list[int], bool]:
@@ -193,12 +204,7 @@ def _max_clique(
     [] if none was found, complete).
     """
     order = sorted(iter_bits(vertices), key=lambda v: -(adj[v] & vertices).bit_count())
-    cand = vertices
-    greedy: list[int] = []
-    for v in order:  # cand only shrinks, so one pass meets its lowest-rank vertex first
-        if cand >> v & 1:
-            greedy.append(v)
-            cand &= adj[v]
+    greedy = _greedy_clique(adj, vertices, order)
     best: list[int] = greedy[:ceiling] if len(greedy) > floor else []
     target = max(floor, len(best))  # size a new clique must exceed
     if not vertices or target >= ceiling:
@@ -265,6 +271,9 @@ def _orbit_clique_search(
     order, so each subgraph is numbered by non-increasing degree (a stable
     sort, ties in colex pair order): the degrees come from a first
     _compatible build and the search runs on a second build in that order.
+    The greedy clique in that order is the search's own seed, so it is
+    taken on the first build; when it meets the ceiling the second build
+    and the search are skipped.
     The best clique so far is carried across as the floor of the next
     subproblem, and all subproblems draw on one node budget.  ``ceiling``
     is a proven upper bound on the clique size: each subproblem gets
@@ -281,11 +290,19 @@ def _orbit_clique_search(
         if len(best) >= ceiling:
             break
         sub = _neighbours(masks, rep, c, identity)
-        degree = [mask.bit_count() for mask in _compatible(sub, identity)]
-        sub = [sub[v] for v in sorted(range(len(sub)), key=lambda v: -degree[v])]
-        clique, complete = _max_clique(
-            _compatible(sub, identity), (1 << len(sub)) - 1, nodes, len(best) - 1, ceiling - 1
-        )
+        adj = _compatible(sub, identity)
+        order = sorted(range(len(sub)), key=lambda v: -adj[v].bit_count())
+        everyone = (1 << len(sub)) - 1
+        # _max_clique would take this same greedy clique first, so when it
+        # already meets the ceiling the renumbered build is not needed
+        clique = _greedy_clique(adj, everyone, order)
+        if len(clique) >= ceiling - 1:
+            clique = clique[: ceiling - 1]
+        else:
+            sub = [sub[v] for v in order]
+            clique, complete = _max_clique(
+                _compatible(sub, identity), everyone, nodes, len(best) - 1, ceiling - 1
+            )
         if len(clique) + 1 > len(best):
             best = [rep] + [sub[v] for v in clique]
         if not complete:

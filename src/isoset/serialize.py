@@ -6,7 +6,8 @@ ascending, 1-based); it round-trips losslessly.  It is laid out as
 json.dumps(doc, indent=2, sort_keys=True) lays it out, one array element
 per line, and that layout is stable.  A matrix document is a
 header line "n_rows n_cols" followed by n_rows lines of '0'/'1' characters,
-row 1 first.
+row 1 first; its reader also takes whitespace around a line, blank lines,
+CRLF line ends and a missing final newline.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .core import BoolMatrix, FamilyPair, ParseError, Subset
+from .core import BoolMatrix, FamilyPair, ParseError, Subset, iter_bits
 
 SCHEMA_VERSION = 1
 
@@ -40,12 +41,19 @@ def family_to_json(fp: FamilyPair) -> str:
 
 
 def _subsets_to_json(subsets: tuple[Subset, ...]) -> str:
-    """The element arrays of a nonempty subsets tuple, as a value of the document."""
-    arrays = (
-        "[\n      " + ",\n      ".join(map(str, s.elements())) + "\n    ]" if s.bits else "[]"
-        for s in subsets
-    )
-    return "[\n    " + ",\n    ".join(arrays) + "\n  ]"
+    """The element arrays of a nonempty subsets tuple, as a value of the document.
+
+    str() of the element lists, "[[1, 2], [3]]", already holds every number
+    and bracket in order, so only the separators are rewritten: every ", "
+    opens an element line, then the "], [" between two arrays and the outer
+    brackets get their own lines.  An empty array comes out as a bracket
+    pair around an empty line, which is folded back to "[]".
+    """
+    # bit e - 1 holds element e, so the set bits of bits << 1 are the elements
+    text = str([iter_bits(s.bits << 1) for s in subsets]).replace(", ", ",\n      ")
+    text = text.replace("],\n      [", "\n    ],\n    [\n      ")
+    text = "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
+    return text.replace("[\n      \n    ]", "[]")
 
 
 def family_from_json(text: str) -> FamilyPair:
@@ -90,32 +98,36 @@ def _subsets(arrays: list[list[int]], universe: int, field: str) -> tuple[Subset
 
 
 def matrix_to_text(m: BoolMatrix) -> str:
-    lines = [f"{m.n_rows} {m.n_cols}"]
-    lines.extend(m.row_string(i) for i in range(1, m.n_rows + 1))
-    return "\n".join(lines) + "\n"
+    spec = f"0{m.n_cols}b"
+    # the trailing "" gives the final newline within the one join
+    return "\n".join([f"{m.n_rows} {m.n_cols}", *(format(mask, spec)[::-1] for mask in m.rows), ""])
 
 
 def matrix_from_text(text: str) -> BoolMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    for at, head in enumerate(lines):
+        header = head.split()
+        if header:
+            break
+    else:
         raise ParseError("empty matrix document")
-    header = lines[0].split()
     if len(header) != 2:
-        raise ParseError(f"matrix header must be 'n_rows n_cols', got {lines[0]!r}")
+        raise ParseError(f"matrix header must be 'n_rows n_cols', got {head!r}")
     try:
         n_rows, n_cols = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise ParseError(f"matrix header must be two integers, got {lines[0]!r}") from exc
-    body = lines[1:]
+        raise ParseError(f"matrix header must be two integers, got {head!r}") from exc
+    body = [row for row in map(str.strip, lines[at + 1:]) if row]
     if len(body) != n_rows:
         raise ParseError(f"expected {n_rows} matrix rows, got {len(body)}")
     masks = []
-    for i, line in enumerate(body):
-        row = line.strip()
+    for i, row in enumerate(body):
         if len(row) != n_cols:
             raise ParseError(f"row {i + 1} has length {len(row)}, expected {n_cols}")
-        # int(row, 2) also takes "_", a sign and non-ASCII digits, so count
-        if row.count("0") + row.count("1") != n_cols:
+        # int(row, 2) also takes "_", a sign and non-ASCII digits, so the row
+        # must be left empty by deleting its ASCII 0s and 1s; a lone surrogate
+        # encodes as "?"
+        if row.encode(errors="replace").translate(None, b"01"):
             raise ParseError(f"row {i + 1} contains characters other than 0/1")
         masks.append(int(row[::-1], 2))
     try:

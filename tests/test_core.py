@@ -1,6 +1,9 @@
 """Core types: subsets, families, matrices, enumeration, realization."""
 
+import dataclasses
+import pickle
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,9 +18,13 @@ from isoset import (
     build_A,
     compat_graph,
     enumerate_t_subsets,
+    family_to_json,
     family_to_matrix,
+    identity_family,
     intersects,
     max_dimension,
+    triangular_family,
+    verify_isolation,
 )
 from isoset.core import iter_bits, realize
 
@@ -236,6 +243,41 @@ class TestFamilyToMatrix:
         for i in range(1, len(rs) + 1):
             for j in range(1, len(cs) + 1):
                 assert m.entry(i, j) == mt.entry(j, i)
+
+
+class TestRealizedOnce:
+    def test_every_call_returns_the_same_matrix(self):
+        fp = triangular_family(3, 3)
+        m = family_to_matrix(fp)
+        assert family_to_matrix(fp) is m
+        assert m == realize(fp.rows, fp.cols)
+
+    def test_realized_once_across_callers(self):
+        fp = identity_family(7, 2)
+        with mock.patch("isoset.core.realize", wraps=realize) as spy:
+            family_to_matrix(fp)
+            verify_isolation(fp)
+            family_to_matrix(fp)
+        assert spy.call_count == 1
+
+    def test_replace_gets_its_own_matrix(self):
+        fp = identity_family(6, 2)
+        m = family_to_matrix(fp)
+        relabelled = dataclasses.replace(fp, meta={})
+        assert family_to_matrix(relabelled) is not m
+        assert family_to_matrix(relabelled) == m
+        swapped = dataclasses.replace(fp, cols=fp.rows)
+        assert family_to_matrix(swapped) == realize(fp.rows, fp.rows) != m
+
+    def test_equality_pickle_and_json_ignore_the_matrix(self):
+        fp, fresh = triangular_family(3, 2), triangular_family(3, 2)
+        family_to_matrix(fp)
+        assert fp == fresh
+        assert pickle.dumps(fp) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(fp))
+        assert back == fp
+        assert family_to_matrix(back) == family_to_matrix(fp)
+        assert family_to_json(fp) == family_to_json(fresh)
 
 
 class TestBoolMatrix:

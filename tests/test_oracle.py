@@ -192,15 +192,22 @@ class TestMaxIsolation:
         assert result.nodes_explored == 151_970
         assert verify_isolation(result.witness).ok
 
-    @pytest.mark.parametrize("k, t, calls", [(8, 3, 6), (7, 2, 2)], ids=["8-3", "7-2"])
-    def test_each_orbit_subgraph_is_built_twice(self, k, t, calls):
-        # two calls per orbit subgraph searched: one for the degrees, one in
-        # degree order; the neighbours of each representative come from the
-        # t-subsets without an adjacency mask.  (7, 2) holds k = 7 after its
-        # first orbit, so the second orbit is skipped
+    @pytest.mark.parametrize(
+        "k, t, optimum, nodes, calls",
+        [(8, 3, 7, 12_293, 6), (7, 2, 7, 0, 1), (6, 2, 6, 0, 1)],
+        ids=["8-3", "7-2", "6-2"],
+    )
+    def test_orbit_subgraph_builds(self, k, t, optimum, nodes, calls):
+        # an orbit subgraph is built once for the degrees and the greedy seed,
+        # and once more in degree order only when it is searched; the
+        # neighbours of each representative come from the t-subsets without
+        # an adjacency mask.  (8, 3) searches all three orbits; at (7, 2) and
+        # (6, 2) the seed of the first orbit reaches k, so nothing else is built
         with mock.patch("isoset.oracle._compatible", wraps=oracle._compatible) as spy:
             result = max_isolation_bruteforce(k, t)
         assert result.complete
+        assert result.optimum == optimum
+        assert result.nodes_explored == nodes
         assert spy.call_count == calls
 
     @pytest.mark.parametrize("identity", [False, True], ids=["isolation", "identity"])

@@ -147,10 +147,79 @@ class TestFamilyDocument:
                 assert family_from_json(family_to_json(fp)) == fp, (k, t)
 
 
+@st.composite
+def matrices(draw):
+    """Matrices of any shape up to 130 columns, so some rows span several machine words."""
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 130))
+    masks = st.integers(0, (1 << n_cols) - 1)
+    return BoolMatrix(n_rows, n_cols, tuple(draw(st.lists(masks, min_size=n_rows, max_size=n_rows))))
+
+
+def grid_text(m):
+    """The matrix document, entry by entry."""
+    rows = (
+        "".join(str(m.entry(i, j)) for j in range(1, m.n_cols + 1))
+        for i in range(1, m.n_rows + 1)
+    )
+    return f"{m.n_rows} {m.n_cols}\n" + "".join(row + "\n" for row in rows)
+
+
 class TestMatrixDocument:
     def test_format(self):
         text = matrix_to_text(BoolMatrix.from_rows(["10", "01", "11"]))
         assert text == "3 2\n10\n01\n11\n"
+
+    @given(matrices())
+    def test_roundtrip_any_shape(self, m):
+        text = matrix_to_text(m)
+        assert text == grid_text(m)
+        assert matrix_from_text(text) == m
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 3\n  101  \n\t011\n",
+            "  2   3 \n101\n011\n",
+            "\n\n2 3\n\n101\n   \n011\n\n \n",
+            "2 3\r\n101\r\n011\r\n",
+            "2 3\n101\n011",
+            " 2 3 \r\n\r\n 101\r\n011 ",
+        ],
+        ids=["padded-rows", "padded-header", "blank-lines", "crlf", "no-final-newline", "all"],
+    )
+    def test_accepts_loose_layout(self, text):
+        # whitespace around a line, blank lines, CRLF and a missing final newline
+        assert matrix_from_text(text) == BoolMatrix.from_rows(["101", "011"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix document"),
+            ("  \n \n\r\n", "empty matrix document"),
+            ("3\n111\n", "matrix header must be 'n_rows n_cols', got '3'"),
+            # the header line is quoted as written, surrounding whitespace included
+            ("\n  3 \t\n111\n", "matrix header must be 'n_rows n_cols', got '  3 \\t'"),
+            ("1 2 3\n111\n", "matrix header must be 'n_rows n_cols', got '1 2 3'"),
+            (" x 3 \r\n111\r\n", "matrix header must be two integers, got ' x 3 '"),
+            ("1 3.0\n111\n", "matrix header must be two integers, got '1 3.0'"),
+            ("3 3\n111\n111\n", "expected 3 matrix rows, got 2"),
+            ("1 3\n111\n111\n", "expected 1 matrix rows, got 2"),
+            ("-1 3\n", "expected -1 matrix rows, got 0"),
+            ("1 3\n11\n", "row 1 has length 2, expected 3"),
+            ("2 3\n111\n 1111 \n", "row 2 has length 4, expected 3"),
+            ("1 0\n1\n", "row 1 has length 1, expected 0"),
+            ("1 3\n1x1\n", "row 1 contains characters other than 0/1"),
+            ("2 3\n111\n1\u00a01\n", "row 2 contains characters other than 0/1"),
+            ("1 3\n\uff11\uff11\uff11\n", "row 1 contains characters other than 0/1"),
+            ("1 3\n1\ud8001\n", "row 1 contains characters other than 0/1"),
+            ("0 3\n", "malformed matrix document: matrix dimensions must be positive"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            matrix_from_text(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "m",

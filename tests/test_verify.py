@@ -14,6 +14,7 @@ from isoset import (
     family_to_matrix,
     identity_family,
     isolation_big_k,
+    isolation_construct,
     isolation_maximal,
     triangular_family,
     verify_identity,
@@ -200,6 +201,26 @@ class TestCrossViewAgreement:
             assert verify_isolation(fp).ok
         for ab in [(2, 2), (3, 2), (3, 3)]:
             assert verify_isolation(triangular_family(*ab)).ok
+
+
+class TestSharedMatrix:
+    @pytest.mark.parametrize("verify", [verify_isolation, verify_identity, verify_triangular])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: isolation_construct(11, 3),
+            lambda: identity_family(8, 2),
+            lambda: triangular_family(3, 3),
+        ],
+        ids=["isolation", "identity", "triangular"],
+    )
+    def test_same_certificate_before_and_after_realization(self, verify, build):
+        # each verifier checks the family's one realized matrix, whether the
+        # verifier or an earlier family_to_matrix call realized it
+        cold = verify(build())
+        fp = build()
+        family_to_matrix(fp)
+        assert verify(fp) == cold
 
 
 class TestViolationCap:
