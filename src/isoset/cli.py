@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, search, rank, table.
 
-Exit codes: 0 ok, 1 pattern violation, 2 range error or unwritable output
-(a path that cannot be written, or a stdout closed early), 3 parse error,
-4 incomplete search.  Library errors map to their codes in ``main``.
+Exit codes: 0 ok, 1 pattern violation, 2 range error, argument error or
+unwritable output (a path that cannot be written, or a stdout closed
+early), 3 parse error, 4 incomplete search.  Argument errors exit 2 from
+argparse; library errors map to their codes in ``main``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ _CHECKS = {
     "isolation": verify_matrix_isolation,
 }
 
+# kind -> (library call, the integer options it takes, in call order); each
+# kind's sub-parser takes exactly these options, all of them required
+_CONSTRUCTIONS = {
+    "identity": (identity_family, ("k", "t")),
+    "isolation": (isolation_construct, ("k", "t")),
+    "triangular": (triangular_family, ("a", "b")),
+    "circulant": (circulant_isolation, ("p", "q")),
+}
+_SEARCHES = {
+    "isolation": (max_isolation_bruteforce, ("k", "t")),
+    "identity": (max_identity_bruteforce, ("k", "t")),
+    "triangular": (max_triangular_bruteforce, ("a", "b", "k")),
+}
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -84,40 +99,19 @@ def _write_output(text: str, out: str | None) -> None:
         raise RangeError(f"cannot write {out}: {exc}") from exc
 
 
-def _require(args, names: list[str], kind: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise RangeError(f"construct {kind} requires --{' --'.join(names)}")
-        values.append(value)
-    return values
+def _as_matrix(obj: FamilyPair | BoolMatrix) -> BoolMatrix:
+    return family_to_matrix(obj) if isinstance(obj, FamilyPair) else obj
 
 
 def _cmd_construct(args) -> int:
-    if args.kind == "circulant":
-        p, q = _require(args, ["p", "q"], "circulant")
-        if args.format == "json":
-            return _fail(EXIT_RANGE, "circulant emits a matrix document; use --format grid")
-        text = matrix_to_text(circulant_isolation(p, q))
-    else:
-        if args.kind == "identity":
-            k, t = _require(args, ["k", "t"], "identity")
-            fp = identity_family(k, t)
-        elif args.kind == "isolation":
-            k, t = _require(args, ["k", "t"], "isolation")
-            fp = isolation_construct(k, t)
-        else:
-            a, b = _require(args, ["a", "b"], "triangular")
-            fp = triangular_family(a, b)
-        fmt = args.format or "both"
-        parts = []
-        if fmt in ("json", "both"):
-            parts.append(family_to_json(fp))
-        if fmt in ("grid", "both"):
-            parts.append(matrix_to_text(family_to_matrix(fp)))
-        text = "".join(parts)
-    _write_output(text, args.out)
+    build, names = _CONSTRUCTIONS[args.kind]
+    obj = build(*(getattr(args, name) for name in names))
+    parts = []
+    if args.format in ("json", "both"):
+        parts.append(family_to_json(obj))
+    if args.format in ("grid", "both"):
+        parts.append(matrix_to_text(_as_matrix(obj)))
+    _write_output("".join(parts), args.out)
     return EXIT_OK
 
 
@@ -127,8 +121,7 @@ def _load_matrix(path: str) -> BoolMatrix:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    obj = load_document(text)
-    return family_to_matrix(obj) if isinstance(obj, FamilyPair) else obj
+    return _as_matrix(load_document(text))
 
 
 def _cmd_verify(args) -> int:
@@ -146,16 +139,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    search, names = _SEARCHES[args.kind]
     budget = RankBudget(max_nodes=args.max_nodes)
-    if args.kind == "triangular":
-        if args.a is None or args.b is None or args.k is None:
-            raise RangeError("search triangular requires --a --b --k")
-        result = max_triangular_bruteforce(args.a, args.b, args.k, budget)
-    else:
-        if args.k is None or args.t is None:
-            raise RangeError(f"search {args.kind} requires --k --t")
-        search = max_isolation_bruteforce if args.kind == "isolation" else max_identity_bruteforce
-        result = search(args.k, args.t, budget)
+    result = search(*(getattr(args, name) for name in names), budget)
     print(result.optimum if result.complete else f">= {result.optimum}")
     print(f"nodes {result.nodes_explored}")
     if args.witness_out:
@@ -165,15 +151,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    budget = RankBudget(max_nodes=args.max_nodes, max_bicliques=args.max_bicliques)
-    if args.gen_A:
-        k, t = args.gen_A
-        m = build_A(k, t)
-    elif args.input:
-        m = _load_matrix(args.input)
-    else:
-        return _fail(EXIT_RANGE, "rank requires an input path or --gen-A K T")
-    result = boolean_rank_exact(m, budget)
+    m = build_A(*args.gen_A) if args.gen_A else _load_matrix(args.input)
+    result = boolean_rank_exact(m, RankBudget(max_nodes=args.max_nodes))
     if result.complete:
         print(f"rank {result.optimum}")
     else:
@@ -231,15 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="run a construction and print it")
-    p_construct.add_argument("kind", choices=["identity", "isolation", "triangular", "circulant"])
-    p_construct.add_argument("--k", type=int)
-    p_construct.add_argument("--t", type=int)
-    p_construct.add_argument("--a", type=int)
-    p_construct.add_argument("--b", type=int)
-    p_construct.add_argument("--p", type=int)
-    p_construct.add_argument("--q", type=int)
-    p_construct.add_argument("--format", choices=["json", "grid", "both"])
-    p_construct.add_argument("--out", help="output path (default: stdout)")
+    kinds = p_construct.add_subparsers(dest="kind", required=True)
+    for kind, (_, names) in _CONSTRUCTIONS.items():
+        p_kind = kinds.add_parser(kind)
+        for name in names:
+            p_kind.add_argument(f"--{name}", type=int, required=True)
+        formats = ["grid"] if kind == "circulant" else ["json", "grid", "both"]
+        p_kind.add_argument("--format", choices=formats, default=formats[-1])
+        p_kind.add_argument("--out", help="output path (default: stdout)")
     p_construct.set_defaults(func=_cmd_construct)
 
     p_verify = sub.add_parser("verify", help="check a family or matrix file against a pattern")
@@ -248,28 +226,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="brute-force maximum structure search")
-    p_search.add_argument("kind", choices=["isolation", "identity", "triangular"])
-    p_search.add_argument("--k", type=int)
-    p_search.add_argument("--t", type=int)
-    p_search.add_argument("--a", type=int)
-    p_search.add_argument("--b", type=int)
-    p_search.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
-    p_search.add_argument("--witness-out", help="write the witness family as JSON")
+    kinds = p_search.add_subparsers(dest="kind", required=True)
+    for kind, (_, names) in _SEARCHES.items():
+        p_kind = kinds.add_parser(kind)
+        for name in names:
+            p_kind.add_argument(f"--{name}", type=int, required=True)
+        p_kind.add_argument("--max-nodes", type=_positive_int, default=RankBudget.max_nodes)
+        p_kind.add_argument("--witness-out", help="write the witness family as JSON")
     p_search.set_defaults(func=_cmd_search)
 
     p_rank = sub.add_parser("rank", help="exact Boolean rank (minimum biclique cover)")
-    p_rank.add_argument("input", nargs="?", help="matrix text or family JSON file")
-    p_rank.add_argument("--gen-A", nargs=2, type=int, metavar=("K", "T"),
+    source = p_rank.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="matrix text or family JSON file")
+    source.add_argument("--gen-A", nargs=2, type=int, metavar=("K", "T"),
                         help="rank the full intersection matrix for (K, T)")
-    p_rank.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
-    p_rank.add_argument("--max-bicliques", type=_positive_int, default=50_000)
+    p_rank.add_argument("--max-nodes", type=_positive_int, default=RankBudget.max_nodes)
     p_rank.set_defaults(func=_cmd_rank)
 
     p_table = sub.add_parser("table", help="isolation sizes per k, with optional oracle column")
     p_table.add_argument("--t", type=int, required=True)
     p_table.add_argument("--k-range", required=True, help="inclusive range LO..HI")
     p_table.add_argument("--oracle", action="store_true")
-    p_table.add_argument("--max-nodes", type=_positive_int, default=10_000_000)
+    p_table.add_argument("--max-nodes", type=_positive_int, default=RankBudget.max_nodes)
     p_table.set_defaults(func=_cmd_table)
     return parser
 

@@ -29,16 +29,19 @@ from .core import (
 )
 
 
+# the rank solver enumerates at most this many maximal all-ones rectangles
+MAX_RECTANGLES = 50_000
+
+
 @dataclass(frozen=True)
 class RankBudget:
-    """Node and enumeration caps for the brute-force searches."""
+    """Node cap for the brute-force searches."""
 
     max_nodes: int = 10_000_000
-    max_bicliques: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_bicliques < 1:
-            raise ValueError("budget caps must be positive")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be positive")
 
 
 @dataclass(frozen=True)
@@ -299,6 +302,7 @@ def _orbit_clique_search(
         if len(clique) >= ceiling - 1:
             clique = clique[: ceiling - 1]
         else:
+            del adj  # released before the second build, so the two never coexist
             sub = [sub[v] for v in order]
             clique, complete = _max_clique(
                 _compatible(sub, identity), everyone, nodes, len(best) - 1, ceiling - 1
@@ -735,7 +739,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     certifies rank lb, a refutation raises lb by one.  Stage 3, only for a
     bracket still open, alone builds tables with one entry per one, so it
     alone raises ResourceLimitError when the ones exceed max_dimension().
-    The maximal rectangles are enumerated (up to the biclique cap), and a
+    The maximal rectangles are enumerated (up to MAX_RECTANGLES), and a
     greedy cover by them may lower the upper bound.
     The greedy isolation set depends on the order of rows and columns, so
     a larger fooling set is sought next: a maximum clique of the ones, two
@@ -781,7 +785,7 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
         return _rank_result(m, best_cover, nodes.count, True, lower)
 
     check_cap(total_ones, "one-entries")
-    rects, enum_complete = _maximal_bicliques(m, budget.max_bicliques)
+    rects, enum_complete = _maximal_bicliques(m, MAX_RECTANGLES)
     # the entry set of the ones of row i in cols, a subset of row i
     w = m.n_cols
     dense = m.n_rows * w <= 2 * total_ones

@@ -28,9 +28,10 @@ def write_zero_pair_document(path):
 
 class TestConstruct:
     def test_circulant_reference_grid(self, capsys, golden_dir):
-        code, out = run(capsys, "construct", "circulant", "--p", "5", "--q", "4")
-        assert code == 0
-        assert out == (golden_dir / "circulant_5_4.txt").read_text()
+        for fmt in [(), ("--format", "grid")]:  # grid is circulant's only format
+            code, out = run(capsys, "construct", "circulant", "--p", "5", "--q", "4", *fmt)
+            assert code == 0
+            assert out == (golden_dir / "circulant_5_4.txt").read_text()
 
     def test_isolation_reference_grids(self, capsys, golden_dir):
         for k, t, fixture in [(12, 4, "isolation_k12_t4.txt"), (11, 3, "isolation_k11_t3.txt")]:
@@ -109,6 +110,28 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: cannot write {path}") and len(err.splitlines()) == 1
+
+
+# each kind takes exactly its own options; any other is an argument error
+FOREIGN_OPTIONS = {
+    "construct-identity": "construct identity --k 6 --t 2 --a 3",
+    "construct-isolation": "construct isolation --k 6 --t 2 --p 5",
+    "construct-triangular": "construct triangular --a 2 --b 2 --k 4",
+    "construct-circulant": "construct circulant --p 5 --q 4 --t 2",
+    "search-isolation": "search isolation --k 5 --t 2 --a 2",
+    "search-identity": "search identity --k 6 --t 2 --b 2",
+    "search-triangular": "search triangular --a 2 --b 2 --k 4 --t 2",
+    "rank-max-bicliques": "rank --gen-A 4 2 --max-bicliques 50000",
+    "rank-two-inputs": "rank matrix.txt --gen-A 4 2",
+}
+
+
+@pytest.mark.parametrize("argv", FOREIGN_OPTIONS.values(), ids=FOREIGN_OPTIONS.keys())
+def test_foreign_option_exit_2(argv, capsys):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "error: " in captured.err
 
 
 class TestVerify:
@@ -340,12 +363,6 @@ class TestRank:
     def test_no_input_exit_2(self, capsys):
         code, _ = run(capsys, "rank")
         assert code == 2
-
-    def test_zero_max_bicliques_exit_2(self, capsys):
-        code = main(["rank", "--gen-A", "4", "2", "--max-bicliques", "0"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--max-bicliques" in err
 
 
 class TestTable:

@@ -210,6 +210,21 @@ class TestMaxIsolation:
         assert result.nodes_explored == nodes
         assert spy.call_count == calls
 
+    def test_one_orbit_adjacency_alive_at_a_time(self):
+        # the c = 1 subgraph of (11, 4) has n = 19,587 vertices and each of
+        # its two builds holds about n^2 / 8 bytes of adjacency masks; the
+        # colex-order build is released before the degree-order one is made
+        masks = sorted(sum(1 << e for e in s) for s in combinations(range(11), 4))
+        n = len(_neighbours(masks, (0b1111, 0b1110001), 1, False))
+        tracemalloc.start()
+        try:
+            result = max_isolation_bruteforce(11, 4, RankBudget(max_nodes=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (n, result.optimum, result.nodes_explored) == (19_587, 8, 2)
+        assert peak < 1.5 * n * n / 8
+
     @pytest.mark.parametrize("identity", [False, True], ids=["isolation", "identity"])
     @pytest.mark.parametrize("k", range(1, 10))
     def test_neighbours_match_filtered_pairs(self, k, identity):
@@ -493,9 +508,10 @@ class TestBooleanRank:
         assert result.lower_bound <= 4 <= result.optimum
         assert cover_covers_exactly(m, result.witness)
 
-    def test_biclique_cap_interval(self):
+    def test_biclique_cap_interval(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_RECTANGLES", 3)
         m = circulant_isolation(6, 4, allow_small_q=True)
-        result = boolean_rank_exact(m, RankBudget(max_bicliques=3))
+        result = boolean_rank_exact(m)
         assert not result.complete
         assert result.lower_bound <= 8
         assert cover_covers_exactly(m, result.witness)
@@ -816,7 +832,7 @@ class TestGreedyCover:
         result = boolean_rank_exact(m, RankBudget(max_nodes=2_000))
         assert not result.complete
         assert (result.lower_bound, result.optimum, result.nodes_explored) == (9, 117, 2_001)
-        rects, _ = _maximal_bicliques(m, RankBudget().max_bicliques)
+        rects, _ = _maximal_bicliques(m, oracle.MAX_RECTANGLES)
         w = m.n_cols
         rect_masks = [sum(cmask << i * w for i in iter_bits(rmask)) for rmask, cmask in rects]
         full = sum(row << i * w for i, row in enumerate(m.rows))
@@ -1048,8 +1064,6 @@ class TestBudget:
     def test_positive_caps_required(self):
         with pytest.raises(ValueError):
             RankBudget(max_nodes=0)
-        with pytest.raises(ValueError):
-            RankBudget(max_bicliques=-1)
 
     # the rank's fooling clique ends at node 67, and its cover search at 782
     @pytest.mark.parametrize(
