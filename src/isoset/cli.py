@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .construct import (
@@ -204,15 +205,17 @@ def _cmd_table(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoset",
+        allow_abbrev=False,
         description="Constructions, verifiers and brute-force oracles for extremal "
         "submatrix structures of the t-subset intersection matrix.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    verb = partial(sub.add_parser, allow_abbrev=False)  # no prefix matching of options
 
-    p_construct = sub.add_parser("construct", help="run a construction and print it")
+    p_construct = verb("construct", help="run a construction and print it")
     kinds = p_construct.add_subparsers(dest="kind", required=True)
     for kind, (_, names) in _CONSTRUCTIONS.items():
-        p_kind = kinds.add_parser(kind)
+        p_kind = kinds.add_parser(kind, allow_abbrev=False)
         for name in names:
             p_kind.add_argument(f"--{name}", type=int, required=True)
         formats = ["grid"] if kind == "circulant" else ["json", "grid", "both"]
@@ -220,22 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
         p_kind.add_argument("--out", help="output path (default: stdout)")
     p_construct.set_defaults(func=_cmd_construct)
 
-    p_verify = sub.add_parser("verify", help="check a family or matrix file against a pattern")
+    p_verify = verb("verify", help="check a family or matrix file against a pattern")
     p_verify.add_argument("pattern", choices=["identity", "triangular", "isolation"])
     p_verify.add_argument("input", help="family JSON or matrix text file")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_search = sub.add_parser("search", help="brute-force maximum structure search")
+    p_search = verb("search", help="brute-force maximum structure search")
     kinds = p_search.add_subparsers(dest="kind", required=True)
     for kind, (_, names) in _SEARCHES.items():
-        p_kind = kinds.add_parser(kind)
+        p_kind = kinds.add_parser(kind, allow_abbrev=False)
         for name in names:
             p_kind.add_argument(f"--{name}", type=int, required=True)
         p_kind.add_argument("--max-nodes", type=_positive_int, default=RankBudget.max_nodes)
         p_kind.add_argument("--witness-out", help="write the witness family as JSON")
     p_search.set_defaults(func=_cmd_search)
 
-    p_rank = sub.add_parser("rank", help="exact Boolean rank (minimum biclique cover)")
+    p_rank = verb("rank", help="exact Boolean rank (minimum biclique cover)")
     source = p_rank.add_mutually_exclusive_group(required=True)
     source.add_argument("input", nargs="?", help="matrix text or family JSON file")
     source.add_argument("--gen-A", nargs=2, type=int, metavar=("K", "T"),
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--max-nodes", type=_positive_int, default=RankBudget.max_nodes)
     p_rank.set_defaults(func=_cmd_rank)
 
-    p_table = sub.add_parser("table", help="isolation sizes per k, with optional oracle column")
+    p_table = verb("table", help="isolation sizes per k, with optional oracle column")
     p_table.add_argument("--t", type=int, required=True)
     p_table.add_argument("--k-range", required=True, help="inclusive range LO..HI")
     p_table.add_argument("--oracle", action="store_true")

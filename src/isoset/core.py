@@ -345,16 +345,19 @@ def _element_index(groups: Iterable[tuple[int, int]]) -> dict[int, int]:
     return index
 
 
+def _meeting(index: dict[int, int], bits: int) -> int:
+    """The OR of index[e] over e in bits: with _element_index, the subsets meeting bits."""
+    out = 0
+    for e in iter_bits(bits):
+        out |= index.get(e, 0)
+    return out
+
+
 def realize(rows: Sequence[Subset], cols: Sequence[Subset]) -> BoolMatrix:
     """Realize the intersection pattern: entry (i, j) = 1 iff rows[i] meets cols[j]."""
     cols_with = _element_index((y.bits, 1 << j) for j, y in enumerate(cols))
-    masks = []
-    for x in rows:
-        mask = 0
-        for e in iter_bits(x.bits):
-            mask |= cols_with.get(e, 0)
-        masks.append(mask)
-    return BoolMatrix(len(rows), len(cols), tuple(masks))
+    masks = tuple(_meeting(cols_with, x.bits) for x in rows)
+    return BoolMatrix(len(rows), len(cols), masks)
 
 
 def family_to_matrix(fp: FamilyPair) -> BoolMatrix:

@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from math import comb
 
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     Subset,
     _capped_t_subsets,
     _element_index,
+    _meeting,
     check_cap,
     iter_bits,
 )
@@ -105,6 +106,9 @@ def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
     Every pair must be a one (x & y nonempty).  Then the clash set of
     (x, y) already holds each (x, y2) and (x2, y), as x meets y, y2 meets x
     and x2 meets y, so the first two conditions need no mask of their own.
+    Pairs may repeat an x or a y.  Callers: compat_graph and
+    _orbit_clique_search on t-subset pairs, and boolean_rank_exact on the
+    ones (i, j) of a matrix as (row i's support, {j}), for fooling sets.
     """
     same_x: dict[int, int] = {}
     same_y: dict[int, int] = {}
@@ -113,15 +117,8 @@ def _compatible(pairs: list[tuple[int, int]], identity: bool) -> list[int]:
         same_y[y] = same_y.get(y, 0) | 1 << i
     x_has = _element_index(same_x.items())  # element -> pairs whose row subset holds it
     y_has = _element_index(same_y.items())
-
-    def meeting(has: dict[int, int], subset: int) -> int:
-        out = 0
-        for e in iter_bits(subset):
-            out |= has.get(e, 0)
-        return out
-
-    x_meets = {y: meeting(x_has, y) for y in same_y}  # pairs whose row subset meets y
-    y_meets = {x: meeting(y_has, x) for x in same_x}  # pairs whose column subset meets x
+    x_meets = {y: _meeting(x_has, y) for y in same_y}  # pairs whose row subset meets y
+    y_meets = {x: _meeting(y_has, x) for x in same_x}  # pairs whose column subset meets x
     full = (1 << len(pairs)) - 1
     out = []
     for x, y in pairs:
@@ -756,11 +753,9 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     node it would stop on, so an exhausted run reports max_nodes + 1 nodes.
     The clique stage runs even then, as its greedy seed costs no node; the
     cover search is skipped.
-    Entry (i, j), 0-based, is bit i * n_cols + j when at least half the
-    cells of m are ones, else bit k for the k-th one; both run row-major, so
-    results agree.  The witness is a tuple of rectangles (row indices, col
-    indices), 1-based.  Incomplete runs (rectangle cap or node budget)
-    report the best cover found as ``optimum`` and lb in ``lower_bound``.
+    The witness is a tuple of rectangles (row indices, col indices),
+    1-based.  Incomplete runs (rectangle cap or node budget) report the
+    best cover found as ``optimum`` and lb in ``lower_bound``.
     """
     budget = budget or RankBudget()
     total_ones = m.count_ones()
@@ -771,9 +766,8 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     best_cover: list[tuple[int, int]] = [
         (1 << i, m.rows[i]) for i in range(m.n_rows) if m.rows[i]
     ]
-    cols = m.transpose().rows
     fooling = fooling_lower_bound(m)
-    lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(cols))
+    lower = max(fooling, _antichain_bound(m.rows), _antichain_bound(m.transpose().rows))
     nodes = _Nodes(budget.max_nodes)
     if fooling < lower < len(best_cover):
         found, refuted = _factor_search(m, lower, nodes)
@@ -786,19 +780,22 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
 
     check_cap(total_ones, "one-entries")
     rects, enum_complete = _maximal_bicliques(m, MAX_RECTANGLES)
-    # the entry set of the ones of row i in cols, a subset of row i
-    w = m.n_cols
-    dense = m.n_rows * w <= 2 * total_ones
+    # entry e is the e-th one (i, j) row-major, as the pair (row i's support,
+    # {j}); the entries of row i are one run of bits
+    ones = [(row, 1 << j) for row in m.rows for j in iter_bits(row)]
+    full = (1 << total_ones) - 1
     starts = list(accumulate((row.bit_count() for row in m.rows), initial=0))
-
-    def place(i: int, cols: int) -> int:
-        if dense:
-            return cols << i * w
-        before = ((m.rows[i] & (1 << j) - 1).bit_count() for j in iter_bits(cols))
-        return sum(1 << starts[i] + b for b in before)
-
-    full = sum(place(i, row) for i, row in enumerate(m.rows))
-    rect_masks = [sum(place(i, cmask) for i in iter_bits(rmask)) for rmask, cmask in rects]
+    in_row = [(1 << end) - (1 << start) for start, end in pairwise(starts)]
+    in_col = _element_index((y, 1 << e) for e, (_, y) in enumerate(ones))
+    col_meets = [_meeting(in_col, row) for row in m.rows]
+    # C is the common support of R: (R, C) holds R's ones in every R row's columns
+    rect_masks = []
+    for rmask, _ in rects:
+        held, within = 0, full
+        for i in iter_bits(rmask):
+            held |= in_row[i]
+            within &= col_meets[i]
+        rect_masks.append(held & within)
 
     # every distinct row support is enumerated before the cap applies, and
     # its rectangle holds that whole row, so the greedy cover always ends
@@ -808,13 +805,9 @@ def boolean_rank_exact(m: BoolMatrix, budget: RankBudget | None = None) -> Searc
     complete = len(best_cover) == lower
 
     if not complete:
-        # ones (i, j) and (i2, j2) are compatible unless m[i][j2] and m[i2][j],
-        # which also holds when they share a row or a column
-        compat = [0] * full.bit_length()
-        for i, row in enumerate(m.rows):
-            for j in iter_bits(row):
-                clash = sum(place(i2, row & m.rows[i2]) for i2 in iter_bits(cols[j]))
-                compat[place(i, 1 << j).bit_length() - 1] = full & ~clash
+        # as pairs, ones (i, j) and (i2, j2) meet across iff m[i][j2] and m[i2][j],
+        # so their isolation graph joins two ones no all-ones rectangle holds
+        compat = _compatible(ones, False)
         # a clique of pairwise compatible ones is a fooling set, so any clique
         # found bounds the rank, even when the search runs out of budget; on a
         # spent budget the search still takes its greedy seed, at no node

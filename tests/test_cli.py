@@ -134,6 +134,29 @@ def test_foreign_option_exit_2(argv, capsys):
     assert captured.out == "" and "error: " in captured.err
 
 
+# no option is matched by a prefix: each abbreviation is an argument error,
+# and its full spelling runs
+ABBREVIATED = {
+    "table --t 2 --k 4..5": "table --t 2 --k-range 4..5",
+    "search isolation --k 5 --t 2 --max 10": "search isolation --k 5 --t 2 --max-nodes 10",
+    "rank --gen 5 2": "rank --gen-A 5 2",
+    "construct identity --k 6 --t 2 --form grid": "construct identity --k 6 --t 2 --format grid",
+}
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED.keys())
+def test_abbreviated_option_exit_2(argv, capsys):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED.values())
+def test_full_option_spelling_exit_0(argv, capsys):
+    assert main(argv.split()) == 0
+
+
 class TestVerify:
     def test_family_ok(self, capsys, tmp_path):
         path = tmp_path / "fam.json"

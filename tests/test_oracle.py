@@ -1,6 +1,7 @@
 """Brute-force oracles: clique searches, triangular search, Boolean rank."""
 
 import gc
+import random
 import tracemalloc
 from itertools import combinations
 from functools import reduce
@@ -40,6 +41,7 @@ from isoset import oracle
 from isoset.core import iter_bits
 from isoset.oracle import (
     _antichain_bound,
+    _compatible,
     _cover_search,
     _factor_search,
     _greedy_cover,
@@ -104,6 +106,26 @@ class TestCompatGraph:
                 fits = not any(cross) if identity else not all(cross)
                 expected = x1 != x2 and y1 != y2 and fits
                 assert bool(graph.adjacency[u] >> v & 1) == expected, (u, v)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matrix_ones_follow_the_fooling_rule(self, seed):
+        # the rank solver feeds each one (i, j) as (row i's support, {j}); with
+        # a zero row, a duplicate row and a duplicate column, pairs repeat
+        rng = random.Random(seed)
+        n, w = rng.randint(3, 9), rng.randint(2, 9)
+        rows = [rng.getrandbits(w) for _ in range(n)]
+        rows[0] |= 1
+        rows[1], rows[2] = rows[0], 0
+        rows = [row & ~2 | (row & 1) << 1 for row in rows]  # column 1 copies column 0
+        rng.shuffle(rows)
+        ones = [(i, j) for i, row in enumerate(rows) for j in iter_bits(row)]
+        pairs = [(rows[i], 1 << j) for i, j in ones]
+        assert len(set(pairs)) < len(pairs)
+        adjacency = _compatible(pairs, False)
+        for u, (i, j) in enumerate(ones):
+            for v, (i2, j2) in enumerate(ones):
+                expected = not (rows[i] >> j2 & 1 and rows[i2] >> j & 1)
+                assert bool(adjacency[u] >> v & 1) == expected, (u, v)
 
 
 class TestMaxIsolation:
@@ -452,8 +474,7 @@ class TestBooleanRank:
     def test_spread_matrix_memory_follows_its_ones_in_the_searches(self):
         # the diagonal above closes at the root bounds; circulant(6, 4, small_q)
         # needs the fooling-set clique and the cover DFS, and with its rows and
-        # columns spread to 100 * i every entry set spans a million cells
-        # under the grid numbering
+        # columns spread to 100 * i the matrix spans a million cells
         small = circulant_isolation(6, 4, allow_small_q=True)
         rows = [0] * 1000
         for i, row in enumerate(small.rows):
@@ -468,6 +489,23 @@ class TestBooleanRank:
         assert result.complete and result.optimum == 8
         assert result.nodes_explored == 782
         assert peak < 1 << 20
+
+    def test_entries_are_the_ones_in_row_major_order(self, monkeypatch):
+        # 60 ones in 100 cells: entry e is the e-th one however dense m is
+        seen = []
+        search = oracle._cover_search
+
+        def spy(rect_masks, full, *rest):
+            seen.append((rect_masks, full))
+            return search(rect_masks, full, *rest)
+
+        monkeypatch.setattr(oracle, "_cover_search", spy)
+        result = boolean_rank_exact(CIRCULANT_6_4)
+        [(rect_masks, full)] = seen
+        assert full == (1 << 60) - 1
+        assert all(mask < 1 << 60 for mask in rect_masks)
+        assert result.complete and result.optimum == 8
+        assert result.nodes_explored == 782
 
     def test_ones_cap(self, monkeypatch):
         # 60 ones: fooling 7 and antichain 5 leave the bracket open, and
