@@ -20,6 +20,35 @@ from .core import (
     check_cap,
 )
 
+
+def _run(count: int, low: int) -> int:
+    """The mask of ``count`` consecutive bits from bit ``low`` up."""
+    return ((1 << count) - 1) << low
+
+
+def _window(n: int, w: int, start: int) -> int:
+    """The w cyclically consecutive residues of [n] from bit ``start`` on, as a mask."""
+    run = _run(w, start)
+    return (run | run >> n) & _run(n, 0)
+
+
+def _windows(n: int, t: int) -> tuple[list[int], list[int]]:
+    """The cyclic-window block of size n, as (row masks, col masks).
+
+    Row i is {i} plus the tail {n+1..n+t-1}; column j is the t residues of
+    [n] that follow j cyclically, j included.  Row i meets column j iff
+    (i - j) mod n < t.
+    """
+    tail = _run(t - 1, n)
+    return [1 << i | tail for i in range(n)], [_window(n, t, j) for j in range(n)]
+
+
+def _family(k: int, t: int, rows: list[int], cols: list[int], meta: dict) -> FamilyPair:
+    """The FamilyPair of t-subsets of [k] with these row and column masks."""
+    subsets = [tuple(Subset(k, mask) for mask in masks) for masks in (rows, cols)]
+    return FamilyPair(k, t, t, *subsets, meta)
+
+
 def identity_family(k: int, t: int) -> FamilyPair:
     """Family of size s = k-2t+2 whose realized matrix is the identity I_s.
 
@@ -31,12 +60,11 @@ def identity_family(k: int, t: int) -> FamilyPair:
         raise RangeError(f"need t >= 1, got t={t}")
     if k < 2 * t:
         raise RangeError(f"identity family needs k >= 2t, got k={k} < {2 * t}")
-    row_stem = list(range(1, t))
-    col_stem = list(range(t, 2 * t - 1))
-    rows = [Subset.of(row_stem + [i], k) for i in range(2 * t - 1, k + 1)]
-    cols = [Subset.of(col_stem + [i], k) for i in range(2 * t - 1, k + 1)]
+    varying = range(2 * t - 2, k)
+    rows = [_run(t - 1, 0) | 1 << e for e in varying]
+    cols = [_run(t - 1, t - 1) | 1 << e for e in varying]
     meta = {"construction": "identity", "k": k, "t": t, "s": k - 2 * t + 2}
-    return FamilyPair(k, t, t, tuple(rows), tuple(cols), meta)
+    return _family(k, t, rows, cols, meta)
 
 
 def circulant_isolation(p: int, q: int, allow_small_q: bool = False) -> BoolMatrix:
@@ -58,44 +86,32 @@ def circulant_isolation(p: int, q: int, allow_small_q: bool = False) -> BoolMatr
             "(pass allow_small_q=True to build it anyway)"
         )
     n = p + q
-    masks = []
-    for i in range(1, n + 1):
-        mask = 0
-        for j in range(1, n + 1):
-            if (i - j) % n < p:
-                mask |= 1 << (j - 1)
-        masks.append(mask)
-    return BoolMatrix(n, n, tuple(masks))
+    # row i holds the p columns that end cyclically at column i
+    return BoolMatrix(n, n, tuple(_window(n, p, (i - p + 1) % n) for i in range(n)))
 
 
 def isolation_3t2(k: int, t: int) -> FamilyPair:
     """Isolation family of size k-t+1 for k >= 3t-2.
 
-    Row i is {i} plus the tail {k-t+2..k}; column j is a window of t
-    cyclically consecutive residues of [k-t+1] starting at j.  The realized
-    matrix equals circulant_isolation(t, k-2t+1) bit for bit.
+    The cyclic-window block with n = k-t+1: row i is {i} plus the tail
+    {k-t+2..k}; column j is a window of t cyclically consecutive residues
+    of [k-t+1] starting at j.  The realized matrix equals
+    circulant_isolation(t, k-2t+1) bit for bit.
     """
     if t < 2:
         raise RangeError(f"need t >= 2, got t={t}")
     if k < 3 * t - 2:
         raise RangeError(f"need k >= 3t-2 = {3 * t - 2}, got k={k}")
-    p, q = t, k - 2 * t + 1
-    n = p + q  # == k - t + 1
-    tail = list(range(k - t + 2, k + 1))
-    rows = [Subset.of([i] + tail, k) for i in range(1, n + 1)]
-    cols = [
-        Subset.of([(j - 1 + m) % n + 1 for m in range(p)], k) for j in range(1, n + 1)
-    ]
-    meta = {"construction": "isolation_3t2", "k": k, "t": t, "p": p, "q": q}
-    return FamilyPair(k, t, t, tuple(rows), tuple(cols), meta)
+    meta = {"construction": "isolation_3t2", "k": k, "t": t, "p": t, "q": k - 2 * t + 1}
+    return _family(k, t, *_windows(k - t + 1, t), meta)
 
 
 def isolation_small_k(k: int, t: int) -> FamilyPair:
     """Isolation family of size 2r+3 for k = 2t+r with 0 <= r <= t-3.
 
-    Builds the size-(2r+3) family over k' = 3r+4 elements with subsets of
-    size r+2, then pads every row index with {k'+1..k'+(t-r-2)} and every
-    column index with the remaining t-r-2 elements up to k.  The padding
+    The cyclic-window block of isolation_3t2(k', r+2) over k' = 3r+4
+    elements, with every row index padded by {k'+1..k'+(t-r-2)} and every
+    column index by the remaining t-r-2 elements up to k.  The padding
     halves are disjoint, so the realized matrix is unchanged.
     """
     if t < 3:
@@ -105,16 +121,30 @@ def isolation_small_k(k: int, t: int) -> FamilyPair:
         raise RangeError(
             f"need k = 2t+r with 0 <= r <= t-3, i.e. {2 * t} <= k <= {3 * t - 3}, got k={k}"
         )
-    t_inner = r + 2
-    k_inner = 3 * r + 4  # == 3*t_inner - 2
-    inner = isolation_3t2(k_inner, t_inner)
+    rows, cols = _windows(2 * r + 3, r + 2)  # over k' = 3r+4 elements
     pad = t - r - 2
-    row_pad = ((1 << pad) - 1) << k_inner  # elements k'+1..k'+pad
+    row_pad = _run(pad, 3 * r + 4)  # elements k'+1..k'+pad
     col_pad = row_pad << pad  # elements k'+pad+1..k, as k - k' = 2 * pad
-    rows = [Subset(k, s.bits | row_pad) for s in inner.rows]
-    cols = [Subset(k, s.bits | col_pad) for s in inner.cols]
     meta = {"construction": "isolation_small_k", "k": k, "t": t, "r": r}
-    return FamilyPair(k, t, t, tuple(rows), tuple(cols), meta)
+    return _family(k, t, [m | row_pad for m in rows], [m | col_pad for m in cols], meta)
+
+
+def _stacked_blocks(k: int, t: int) -> tuple[list[int], list[int]]:
+    """Row and column masks of isolation_big_k(k, t) for 3t-2 < k <= 4t-3."""
+    rp = k - 3 * t + 2
+    rows, cols = _windows(2 * t - 1, t)  # on elements {1..3t-2}
+    low = k - 2 * rp  # bit of the second block's first element
+    cols += [1 << (low + i) | _run(t - 1, 0) for i in range(2 * rp)]
+    # second-block rows: runs of rp+1 consecutive bits from low + i on plus a
+    # shared tail, empty exactly when r = 2t-3; row i of the second half is
+    # the last run with its lowest i+1 bits swapped for element 2t-1 and the
+    # bits low..low+i-1
+    tail = _run(t - rp - 1, 2 * t - 1)
+    rows += [_run(rp + 1, low + i) | tail for i in range(rp)]
+    rows += [
+        _run(i, low) | 1 << (2 * t - 2) | _run(rp - i, low + rp + i) | tail for i in range(rp)
+    ]
+    return rows, cols
 
 
 def isolation_big_k(k: int, t: int) -> FamilyPair:
@@ -136,38 +166,8 @@ def isolation_big_k(k: int, t: int) -> FamilyPair:
         )
     if k == 3 * t - 2:
         return isolation_3t2(k, t)
-
-    rp = r - t + 2
-    n1 = 2 * t - 1
-    upper = list(range(2 * t, 3 * t - 1))  # shared row tail {2t..3t-2}
-    rows = [[i] + upper for i in range(1, n1 + 1)]
-    cols = [[(i + m) % n1 + 1 for m in range(t)] for i in range(n1)]
-
-    stem = list(range(1, t))  # shared column stem {1..t-1}
-    base = k - 2 * rp + 1
-    for i in range(2 * rp):
-        cols.append([base + i] + stem)
-
-    # second-block rows: runs of rp+1 consecutive high elements plus a
-    # shared tail, empty exactly when r = 2t-3
-    tail = list(range(2 * t, 4 * t - r - 3))
-    for i in range(rp):
-        rows.append(list(range(base + i, base + rp + 1 + i)) + tail)
-    prev = set(rows[n1 + rp - 1])
-    rows.append(sorted((prev - {k - rp}) | {2 * t - 1}))
-    for i in range(1, rp):
-        prev = set(rows[-1])
-        rows.append(sorted((prev - {k - rp + i}) | {base + i - 1}))
-
     meta = {"construction": "isolation_big_k", "k": k, "t": t, "r": r}
-    return FamilyPair(
-        k,
-        t,
-        t,
-        tuple(Subset.of(row, k) for row in rows),
-        tuple(Subset.of(col, k) for col in cols),
-        meta,
-    )
+    return _family(k, t, *_stacked_blocks(k, t), meta)
 
 
 def isolation_maximal(k: int, t: int) -> FamilyPair:
@@ -181,16 +181,12 @@ def isolation_maximal(k: int, t: int) -> FamilyPair:
     kp = 4 * t - 3
     if k < kp:
         raise RangeError(f"need k >= 4t-3 = {kp}, got k={k}")
-    inner = isolation_big_k(kp, t)
-    rows = [Subset(k, s.bits) for s in inner.rows]
-    cols = [Subset(k, s.bits) for s in inner.cols]
-    row_tail = [2 * t - 1] + list(range(2 * t, 3 * t - 2))
-    col_tail = list(range(1, t))
-    for i in range(1, k - kp + 1):
-        rows.append(Subset.of([kp + i] + row_tail, k))
-        cols.append(Subset.of([kp + i] + col_tail, k))
+    rows, cols = _stacked_blocks(kp, t)
+    extra = range(kp, k)
+    rows += [1 << e | _run(t - 1, 2 * t - 2) for e in extra]
+    cols += [1 << e | _run(t - 1, 0) for e in extra]
     meta = {"construction": "isolation_maximal", "k": k, "t": t}
-    return FamilyPair(k, t, t, tuple(rows), tuple(cols), meta)
+    return _family(k, t, rows, cols, meta)
 
 
 def isolation_regime(k: int, t: int) -> str:
@@ -232,11 +228,11 @@ def isolation_construct(k: int, t: int) -> FamilyPair:
     """
     regime = isolation_regime(k, t)
     if regime == "singletons":
-        singles = tuple(Subset.of([i], k) for i in range(1, k + 1))
-        fp = FamilyPair(k, 1, 1, singles, singles, {"construction": "singletons", "k": k, "t": t})
+        singles = [1 << e for e in range(k)]
+        fp = _family(k, t, singles, singles, {"construction": "singletons", "k": k, "t": t})
     elif regime == "single-pair":
-        block = Subset.of(range(1, t + 1), k)
-        fp = FamilyPair(k, t, t, (block,), (block,), {"construction": "single_pair", "k": k, "t": t})
+        block = [_run(t, 0)]
+        fp = _family(k, t, block, block, {"construction": "single_pair", "k": k, "t": t})
     elif regime == "small-k":
         fp = isolation_small_k(k, t)
     elif regime == "big-k":

@@ -458,18 +458,19 @@ def _maximal_bicliques(m: BoolMatrix, cap: int) -> tuple[list[tuple[int, int]], 
     """All maximal all-ones submatrices as (row mask, col mask) pairs.
 
     Column sets of maximal rectangles are exactly the nonempty intersections
-    of row supports; the closure is expanded breadth-first and deduplicated
-    by row-set key.  Returns (rectangles sorted by masks, complete flag);
-    hitting the cap yields a partial list with complete=False.
+    of row supports; the closure is expanded breadth-first.  A closed column
+    set is the common support of the rows holding it, which are the rows
+    with no 0 in it, so each one gives its own rectangle.  Returns
+    (rectangles sorted by masks, complete flag); hitting the cap yields a
+    partial list with complete=False.
     """
     supports = sorted({mask for mask in m.rows if mask})
     closed = set(supports)
     queue = list(supports)
     complete = len(closed) <= cap
-    qi = 0
-    while qi < len(queue) and complete:
-        c = queue[qi]
-        qi += 1
+    for c in queue:
+        if not complete:
+            break
         for s in supports:
             x = c & s
             if x and x not in closed:
@@ -478,14 +479,10 @@ def _maximal_bicliques(m: BoolMatrix, cap: int) -> tuple[list[tuple[int, int]], 
                     break
                 closed.add(x)
                 queue.append(x)
-    rects = {}
-    for cmask in sorted(closed):
-        rmask = 0
-        for i, row in enumerate(m.rows):
-            if cmask & ~row == 0:
-                rmask |= 1 << i
-        rects[rmask] = cmask
-    return sorted(rects.items()), complete
+    width = (1 << m.n_cols) - 1
+    zeros = _element_index((width & ~row, 1 << i) for i, row in enumerate(m.rows))
+    everyone = (1 << m.n_rows) - 1
+    return sorted((everyone & ~_meeting(zeros, c), c) for c in closed), complete
 
 
 def _widest_weight_class(masks: Sequence[int]) -> int:

@@ -69,6 +69,28 @@ def naive_neighbours(k, t, c, identity):
     return out
 
 
+def naive_compat_graph(k, t, identity):
+    """The full isolation (or identity) compatibility graph, with Python sets.
+
+    Vertices are the pairs (x, y) of intersecting t-subsets of 0-based
+    elements, as frozensets, column subset outer, both in colex order.  Two
+    vertices are adjacent when x1 != x2, y1 != y2, and the cross
+    intersections x1 & y2, x2 & y1 are both empty (identity) or not both
+    nonempty (isolation).  Returns the vertices and each one's neighbour set.
+    """
+    subsets = [frozenset(s) for s in sorted(combinations(range(k), t), key=lambda s: s[::-1])]
+    vertices = [(x, y) for y in subsets for x in subsets if x & y]
+    neighbours = [set() for _ in vertices]
+    for u, v in combinations(range(len(vertices)), 2):
+        (x1, y1), (x2, y2) = vertices[u], vertices[v]
+        cross = (bool(x1 & y2), bool(x2 & y1))
+        fits = not any(cross) if identity else not all(cross)
+        if x1 != x2 and y1 != y2 and fits:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    return vertices, neighbours
+
+
 def naive_star_cover_holds(k, t):
     """Whether the k element stars cover the ones of A(k, t), with Python sets.
 

@@ -142,14 +142,21 @@ class TestIsolation3t2:
 
 
 class TestIsolationSmallK:
-    def test_t3_k6_exact(self):
-        fp = isolation_small_k(6, 3)
-        assert fp.size == 3
-        rows, cols = family_elements(fp)
-        inner_rows, inner_cols = family_elements(isolation_3t2(4, 2))
-        assert rows == [tuple(sorted(r + (5,))) for r in inner_rows]
-        assert cols == [tuple(sorted(c + (6,))) for c in inner_cols]
-        assert_isolation_naive(fp)
+    @pytest.mark.parametrize("t", range(3, 9))
+    def test_pads_the_3t2_block(self, t):
+        # k = 2t+r is isolation_3t2(3r+4, r+2), rows padded by the next t-r-2
+        # elements and columns by the t-r-2 above those
+        for r in range(t - 2):
+            k, inner_k, pad = 2 * t + r, 3 * r + 4, t - r - 2
+            fp = isolation_small_k(k, t)
+            assert fp.size == 2 * r + 3
+            rows, cols = family_elements(fp)
+            inner_rows, inner_cols = family_elements(isolation_3t2(inner_k, r + 2))
+            row_pad = tuple(range(inner_k + 1, inner_k + pad + 1))
+            col_pad = tuple(range(inner_k + pad + 1, k + 1))
+            assert rows == [row + row_pad for row in inner_rows]
+            assert cols == [col + col_pad for col in inner_cols]
+            assert_isolation_naive(fp)
 
     def test_t4_k8_padding(self):
         fp = isolation_small_k(8, 4)
@@ -194,6 +201,14 @@ class TestIsolationBigK:
     def test_boundary_delegates(self):
         assert isolation_big_k(7, 3) == isolation_3t2(7, 3)
 
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_first_block_is_3t2(self, t):
+        block_rows, block_cols = family_elements(isolation_3t2(3 * t - 2, t))
+        for k in range(3 * t - 2, 4 * t - 2):
+            rows, cols = family_elements(isolation_big_k(k, t))
+            assert rows[: 2 * t - 1] == block_rows
+            assert cols[: 2 * t - 1] == block_cols
+
     def test_k9_t3_second_block_rows(self):
         fp = isolation_big_k(9, 3)
         assert fp.size == 9
@@ -229,6 +244,14 @@ class TestIsolationMaximal:
         fp = isolation_maximal(9, 3)
         inner = isolation_big_k(9, 3)
         assert fp.rows == inner.rows and fp.cols == inner.cols
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_extends_big_k(self, t):
+        inner_rows, inner_cols = family_elements(isolation_big_k(4 * t - 3, t))
+        for k in range(4 * t - 3, 4 * t + 3):
+            rows, cols = family_elements(isolation_maximal(k, t))
+            assert rows[: 4 * t - 3] == inner_rows
+            assert cols[: 4 * t - 3] == inner_cols
 
     def test_k13_t3_extension(self):
         fp = isolation_maximal(13, 3)

@@ -56,11 +56,20 @@ from conftest import (
     closure_maximal_rectangles,
     ilp_boolean_rank,
     naive_boolean_rank,
+    naive_compat_graph,
     naive_greedy_cover,
     naive_max_fooling_set,
     naive_neighbours,
     naive_star_cover_holds,
     permute,
+)
+
+
+# 0/1 grids of 1..6 rows by 1..6 columns
+SMALL_GRIDS = st.integers(1, 6).flatmap(
+    lambda n_cols: st.lists(
+        st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols), min_size=1, max_size=6
+    )
 )
 
 
@@ -99,13 +108,11 @@ class TestCompatGraph:
     @pytest.mark.parametrize("identity", [False, True])
     def test_adjacency_matches_set_rule(self, k, t, identity):
         graph = compat_graph(k, t, identity=identity)
-        pairs = [(set(x.elements()), set(y.elements())) for x, y in graph.vertices]
-        for u, (x1, y1) in enumerate(pairs):
-            for v, (x2, y2) in enumerate(pairs):
-                cross = [bool(x1 & y2), bool(x2 & y1)]
-                fits = not any(cross) if identity else not all(cross)
-                expected = x1 != x2 and y1 != y2 and fits
-                assert bool(graph.adjacency[u] >> v & 1) == expected, (u, v)
+        vertices, neighbours = naive_compat_graph(k, t, identity)
+        assert [(set(x.elements()), set(y.elements())) for x, y in graph.vertices] == [
+            ({e + 1 for e in x}, {e + 1 for e in y}) for x, y in vertices
+        ]
+        assert [set(iter_bits(mask)) for mask in graph.adjacency] == neighbours
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matrix_ones_follow_the_fooling_rule(self, seed):
@@ -310,11 +317,10 @@ class TestNetworkxCrossCheck:
     @pytest.mark.parametrize("k,t,identity", _cross_check_cases())
     def test_optimum_matches_networkx(self, k, t, identity):
         nx = pytest.importorskip("networkx")
-        graph = compat_graph(k, t, identity=identity)
+        vertices, neighbours = naive_compat_graph(k, t, identity)
         g = nx.Graph()
-        g.add_nodes_from(range(len(graph.vertices)))
-        for u, mask in enumerate(graph.adjacency):
-            g.add_edges_from((u, v) for v in range(u + 1, len(graph.vertices)) if mask >> v & 1)
+        g.add_nodes_from(range(len(vertices)))
+        g.add_edges_from((u, v) for u, near in enumerate(neighbours) for v in near if u < v)
         _, clique_number = nx.max_weight_clique(g, weight=None)
         if identity:
             result, verify = max_identity_bruteforce(k, t), verify_identity
@@ -757,15 +763,7 @@ class TestCoverSearch:
         assert cover_covers_exactly(m, result.witness)
 
     @settings(max_examples=200)
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda n_cols: st.lists(
-                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
+    @given(SMALL_GRIDS)
     def test_sibling_exclusion_keeps_the_optimum(self, rows):
         # floor 0: no lower bound ends the search, so it must prove optimality
         m = BoolMatrix.from_rows(rows)
@@ -884,15 +882,7 @@ class TestGreedyCover:
 
 class TestMaximalBicliques:
     @settings(max_examples=200)
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda n_cols: st.lists(
-                st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
+    @given(SMALL_GRIDS)
     def test_capped_rectangles_cover_every_one(self, rows):
         # every distinct row support is kept before the cap applies, and its
         # rectangle holds that whole row
@@ -902,6 +892,20 @@ class TestMaximalBicliques:
             cells = {(i + 1, j + 1) for rmask, cmask in rects for i in range(m.n_rows)
                      if rmask >> i & 1 for j in range(m.n_cols) if cmask >> j & 1}
             assert cells == set(m.ones())
+
+    @settings(max_examples=200)
+    @given(SMALL_GRIDS)
+    def test_capped_rectangles_are_maximal(self, rows):
+        # under any cap, each rectangle has every row holding its columns,
+        # and its columns are all those its rows have in common
+        supports = [{j for j, v in enumerate(row) if v} for row in rows]
+        m = BoolMatrix.from_rows(rows)
+        for cap in (1, 2, 3):
+            rects, _ = _maximal_bicliques(m, cap)
+            for rmask, cmask in rects:
+                held, cols = set(iter_bits(rmask)), set(iter_bits(cmask))
+                assert cols and held == {i for i, s in enumerate(supports) if cols <= s}
+                assert cols == set.intersection(*(supports[i] for i in held))
 
 
 class TestRankUnderPermutation:
