@@ -16,7 +16,6 @@ from .core import (
     BoolMatrix,
     FamilyPair,
     RangeError,
-    Subset,
     check_cap,
 )
 
@@ -43,12 +42,6 @@ def _windows(n: int, t: int) -> tuple[list[int], list[int]]:
     return [1 << i | tail for i in range(n)], [_window(n, t, j) for j in range(n)]
 
 
-def _family(k: int, t: int, rows: list[int], cols: list[int], meta: dict) -> FamilyPair:
-    """The FamilyPair of t-subsets of [k] with these row and column masks."""
-    subsets = [tuple(Subset(k, mask) for mask in masks) for masks in (rows, cols)]
-    return FamilyPair(k, t, t, *subsets, meta)
-
-
 def identity_family(k: int, t: int) -> FamilyPair:
     """Family of size s = k-2t+2 whose realized matrix is the identity I_s.
 
@@ -64,7 +57,7 @@ def identity_family(k: int, t: int) -> FamilyPair:
     rows = [_run(t - 1, 0) | 1 << e for e in varying]
     cols = [_run(t - 1, t - 1) | 1 << e for e in varying]
     meta = {"construction": "identity", "k": k, "t": t, "s": k - 2 * t + 2}
-    return _family(k, t, rows, cols, meta)
+    return FamilyPair.from_masks(k, t, t, rows, cols, meta)
 
 
 def circulant_isolation(p: int, q: int, allow_small_q: bool = False) -> BoolMatrix:
@@ -103,7 +96,7 @@ def isolation_3t2(k: int, t: int) -> FamilyPair:
     if k < 3 * t - 2:
         raise RangeError(f"need k >= 3t-2 = {3 * t - 2}, got k={k}")
     meta = {"construction": "isolation_3t2", "k": k, "t": t, "p": t, "q": k - 2 * t + 1}
-    return _family(k, t, *_windows(k - t + 1, t), meta)
+    return FamilyPair.from_masks(k, t, t, *_windows(k - t + 1, t), meta)
 
 
 def isolation_small_k(k: int, t: int) -> FamilyPair:
@@ -126,7 +119,9 @@ def isolation_small_k(k: int, t: int) -> FamilyPair:
     row_pad = _run(pad, 3 * r + 4)  # elements k'+1..k'+pad
     col_pad = row_pad << pad  # elements k'+pad+1..k, as k - k' = 2 * pad
     meta = {"construction": "isolation_small_k", "k": k, "t": t, "r": r}
-    return _family(k, t, [m | row_pad for m in rows], [m | col_pad for m in cols], meta)
+    rows = [m | row_pad for m in rows]
+    cols = [m | col_pad for m in cols]
+    return FamilyPair.from_masks(k, t, t, rows, cols, meta)
 
 
 def _stacked_blocks(k: int, t: int) -> tuple[list[int], list[int]]:
@@ -167,7 +162,7 @@ def isolation_big_k(k: int, t: int) -> FamilyPair:
     if k == 3 * t - 2:
         return isolation_3t2(k, t)
     meta = {"construction": "isolation_big_k", "k": k, "t": t, "r": r}
-    return _family(k, t, *_stacked_blocks(k, t), meta)
+    return FamilyPair.from_masks(k, t, t, *_stacked_blocks(k, t), meta)
 
 
 def isolation_maximal(k: int, t: int) -> FamilyPair:
@@ -186,7 +181,7 @@ def isolation_maximal(k: int, t: int) -> FamilyPair:
     rows += [1 << e | _run(t - 1, 2 * t - 2) for e in extra]
     cols += [1 << e | _run(t - 1, 0) for e in extra]
     meta = {"construction": "isolation_maximal", "k": k, "t": t}
-    return _family(k, t, rows, cols, meta)
+    return FamilyPair.from_masks(k, t, t, rows, cols, meta)
 
 
 def isolation_regime(k: int, t: int) -> str:
@@ -229,10 +224,12 @@ def isolation_construct(k: int, t: int) -> FamilyPair:
     regime = isolation_regime(k, t)
     if regime == "singletons":
         singles = [1 << e for e in range(k)]
-        fp = _family(k, t, singles, singles, {"construction": "singletons", "k": k, "t": t})
+        meta = {"construction": "singletons", "k": k, "t": t}
+        fp = FamilyPair.from_masks(k, t, t, singles, singles, meta)
     elif regime == "single-pair":
         block = [_run(t, 0)]
-        fp = _family(k, t, block, block, {"construction": "single_pair", "k": k, "t": t})
+        meta = {"construction": "single_pair", "k": k, "t": t}
+        fp = FamilyPair.from_masks(k, t, t, block, block, meta)
     elif regime == "small-k":
         fp = isolation_small_k(k, t)
     elif regime == "big-k":
@@ -269,14 +266,7 @@ def triangular_family(a: int, b: int) -> FamilyPair:
         "size": len(rows),
         "universe_allocated": universe,
     }
-    return FamilyPair(
-        universe,
-        a,
-        b,
-        tuple(Subset(universe, mask) for mask in rows),
-        tuple(Subset(universe, mask) for mask in cols),
-        meta,
-    )
+    return FamilyPair.from_masks(universe, a, b, rows, cols, meta)
 
 
 def _triangular_blocks(a: int, b: int, low: int) -> tuple[list[int], list[int], int]:
@@ -288,18 +278,18 @@ def _triangular_blocks(a: int, b: int, low: int) -> tuple[list[int], list[int], 
     """
     if b == 1:
         # of the 2a - 1 fresh elements, row i takes those numbered 0..i-1 and a..2a-i-1
-        rows = [((1 << i) - 1 | ((1 << (a - i)) - 1) << a) << low for i in range(1, a + 1)]
+        rows = [_run(i, low) | _run(a - i, low + a) for i in range(1, a + 1)]
         cols = [1 << (low + j) for j in range(a)]
         return rows, cols, low + 2 * a - 1
     if a == 1:
         rows = [1 << (low + i) for i in range(b)]
-        cols = [((1 << b) - 1) << (low + j) for j in range(b)]  # b elements from the j-th
+        cols = [_run(b, low + j) for j in range(b)]  # b elements from the j-th
         return rows, cols, low + 2 * b - 1
     r1, c1, low = _triangular_blocks(a, b - 1, low)
     r2, c2, low = _triangular_blocks(a - 1, b, low)
     x = 1 << low
-    bridge_row = ((1 << a) - 1) << low  # x and the next a - 1 fresh elements
-    bridge_col = x | ((1 << (b - 1)) - 1) << (low + a)  # x and the b - 1 after those
+    bridge_row = _run(a, low)  # x and the next a - 1 fresh elements
+    bridge_col = x | _run(b - 1, low + a)  # x and the b - 1 after those
     rows = r1 + [bridge_row] + [row | x for row in r2]
     cols = [col | x for col in c1] + [bridge_col] + c2
     return rows, cols, low + a + b - 1

@@ -46,6 +46,15 @@ def iter_bits(mask: int) -> list[int]:
     return bits
 
 
+def _transpose(masks: Iterable[int], width: int) -> list[int]:
+    """The transpose of a list of masks of ``width`` bits: bit i of out[j] is bit j of masks[i]."""
+    out = [0] * width
+    for i, mask in enumerate(masks):
+        for j in iter_bits(mask):
+            out[j] |= 1 << i
+    return out
+
+
 def max_dimension() -> int:
     """The one size cap: rows of A(k, t), triangular pairs, ones tabulated by a rank run.
 
@@ -186,6 +195,20 @@ class FamilyPair:
             meta=dict(meta or {}),
         )
 
+    @classmethod
+    def from_masks(
+        cls,
+        universe: int,
+        row_size: int,
+        col_size: int,
+        rows: Iterable[int],
+        cols: Iterable[int],
+        meta: dict,
+    ) -> "FamilyPair":
+        """Build a family from row and column bit masks over [universe]."""
+        subsets = [tuple(Subset(universe, mask) for mask in masks) for masks in (rows, cols)]
+        return cls(universe, row_size, col_size, *subsets, meta)
+
 
 @dataclass(frozen=True)
 class BoolMatrix:
@@ -223,11 +246,7 @@ class BoolMatrix:
         return sum(mask.bit_count() for mask in self.rows)
 
     def transpose(self) -> "BoolMatrix":
-        cols = [0] * self.n_cols
-        for i, mask in enumerate(self.rows):
-            for j in iter_bits(mask):
-                cols[j] |= 1 << i
-        return BoolMatrix(self.n_cols, self.n_rows, tuple(cols))
+        return BoolMatrix(self.n_cols, self.n_rows, _transpose(self.rows, self.n_cols))
 
     @classmethod
     def identity(cls, n: int) -> "BoolMatrix":

@@ -25,6 +25,7 @@ from .core import (
     _capped_t_subsets,
     _element_index,
     _meeting,
+    _transpose,
     check_cap,
     iter_bits,
 )
@@ -309,10 +310,8 @@ def _orbit_clique_search(
         if not complete:
             break
     best.sort(key=lambda p: (p[1], p[0]))  # colex pair order, as in compat_graph
-    rows = tuple(Subset(k, x) for x, _ in best)
-    cols = tuple(Subset(k, y) for _, y in best)
-    kind = "identity" if identity else "isolation"
-    witness = FamilyPair(k, t, t, rows, cols, {"search": kind, "k": k, "t": t})
+    meta = {"search": "identity" if identity else "isolation", "k": k, "t": t}
+    witness = FamilyPair.from_masks(k, t, t, [x for x, _ in best], [y for _, y in best], meta)
     return SearchResult(len(best), witness, nodes.count, complete)
 
 
@@ -381,8 +380,6 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
         for fa in range(a + 1):
             if u + fa > k:
                 break
-            if a - fa > u:
-                continue
             fresh_a = ((1 << fa) - 1) << u
             ua = u + fa
             pool = iter_bits(~union_a & ((1 << ua) - 1))
@@ -395,8 +392,6 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
                 for fb in range(b + 1):
                     if ua + fb > k:
                         break
-                    if b - fb > len(pool):
-                        continue
                     fresh_b = ((1 << fb) - 1) << ua
                     for old_b in combinations(pool, b - fb):
                         bmask = fresh_b
@@ -429,9 +424,8 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
     complete = len(best) == ceiling or nodes.run(extend, 0, (), 0)
     del extend  # break the closure's reference to itself
 
-    rows = tuple(Subset(k, amask) for amask, _ in best)
-    cols = tuple(Subset(k, bmask) for _, bmask in best)
-    witness = FamilyPair(k, a, b, rows, cols, {"search": "triangular", "a": a, "b": b, "k": k})
+    meta = {"search": "triangular", "a": a, "b": b, "k": k}
+    witness = FamilyPair.from_masks(k, a, b, [x for x, _ in best], [y for _, y in best], meta)
     return SearchResult(len(best), witness, nodes.count, complete)
 
 
@@ -543,11 +537,10 @@ def _factor_search(
     """
     rows = list(dict.fromkeys(mask for mask in m.rows if mask))
     live = 0  # the columns holding a one
-    col_rows = [0] * m.n_cols  # col_rows[j]: the distinct rows with a one in column j
-    for p, row in enumerate(rows):
+    for row in rows:
         live |= row
-        for j in iter_bits(row):
-            col_rows[j] |= 1 << p
+    # col_rows[j]: the distinct rows with a one in column j
+    col_rows = _transpose(rows, m.n_cols)
     inner = (1 << r) - 1
     layers = [1]  # layers[p]: the p-subsets of the inner indices added so far
     for b in range(r):
@@ -599,16 +592,12 @@ def _factor_search(
     # a finished search that failed popped every set it placed
     if not complete or len(xs) < len(rows):
         return None, complete
+    # the rectangles are the transposes of the factors: row i gets its row's
+    # set, and live column j gets every inner index outside U_j
     x_of = dict(zip(rows, xs))
-    cover = []
-    for index in range(r):
-        rmask, cmask = 0, live
-        for i, row in enumerate(m.rows):
-            if x_of.get(row, 0) >> index & 1:
-                rmask |= 1 << i
-                cmask &= row
-        cover.append((rmask, cmask))
-    return cover, True
+    x = _transpose((x_of.get(row, 0) for row in m.rows), r)
+    y = _transpose((inner & ~u if live >> j & 1 else 0 for j, u in enumerate(unions)), r)
+    return list(zip(x, y)), True
 
 
 def _greedy_cover(rect_masks: Sequence[int], full: int) -> list[int]:
@@ -840,18 +829,12 @@ def cover_to_factors(
 
     Column i of X is the indicator of the i-th rectangle's rows and row i of
     Y the indicator of its columns, so the Boolean product X*Y is the union
-    of the rectangles.
+    of the rectangles.  Raises ValueError for an empty cover and for a row
+    index outside [1, n_rows] or a column index outside [1, n_cols].
     """
     r = len(cover)
     if r == 0:
         raise ValueError("cannot factor an empty cover")
-    x_rows = [0] * n_rows
-    y_rows = []
-    for idx, (rect_rows, rect_cols) in enumerate(cover):
-        for i in rect_rows:
-            x_rows[i - 1] |= 1 << idx
-        ymask = 0
-        for j in rect_cols:
-            ymask |= 1 << (j - 1)
-        y_rows.append(ymask)
-    return BoolMatrix(n_rows, r, tuple(x_rows)), BoolMatrix(r, n_cols, tuple(y_rows))
+    x_cols = [Subset.of(rect_rows, n_rows).bits for rect_rows, _ in cover]
+    y_rows = [Subset.of(rect_cols, n_cols).bits for _, rect_cols in cover]
+    return BoolMatrix(n_rows, r, _transpose(x_cols, n_rows)), BoolMatrix(r, n_cols, y_rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import BoolMatrix, FamilyPair, PatternCertificate, family_to_matrix, iter_bits
+from .core import BoolMatrix, FamilyPair, PatternCertificate, _meeting, family_to_matrix, iter_bits
 
 
 def verify_isolation(fp: FamilyPair) -> PatternCertificate:
@@ -98,10 +98,9 @@ def verify_identity_decomposition(x: BoolMatrix, y: BoolMatrix) -> PatternCertif
         raise ValueError(
             f"shape mismatch: X is {n}x{r} so Y must be {r}x{n}, got {y.n_rows}x{y.n_cols}"
         )
+    y_at = dict(enumerate(y.rows))
     for i in range(n):
-        produced = 0
-        for inner in iter_bits(x.rows[i]):
-            produced |= y.rows[inner]
+        produced = _meeting(y_at, x.rows[i])
         expected = 1 << i
         if produced != expected:
             j = iter_bits(produced ^ expected)[0] + 1

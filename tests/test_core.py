@@ -26,7 +26,7 @@ from isoset import (
     triangular_family,
     verify_isolation,
 )
-from isoset.core import iter_bits, realize
+from isoset.core import _transpose, iter_bits, realize
 
 from conftest import elements_of, naive_pattern
 
@@ -294,6 +294,21 @@ class TestBoolMatrix:
     def test_transpose(self):
         m = BoolMatrix.from_rows(["110", "001"])
         assert m.transpose() == BoolMatrix.from_rows(["10", "10", "01"])
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(0, 1), min_size=width, max_size=width), max_size=6
+            ).map(lambda cells: (width, cells))
+        )
+    )
+    def test_transpose_matches_cells(self, grid):
+        # grids may have no rows or no columns, and all-zero rows and columns
+        width, cells = grid
+        masks = [sum(v << j for j, v in enumerate(row)) for row in cells]
+        naive = [sum(row[j] << i for i, row in enumerate(cells)) for j in range(width)]
+        assert _transpose(masks, width) == naive
+        assert _transpose(naive, len(cells)) == masks
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):

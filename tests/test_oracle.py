@@ -571,6 +571,14 @@ class TestBooleanRank:
             cert = verify_identity_decomposition(x, y)
             assert cert.ok, cert.notes
 
+    @pytest.mark.parametrize(
+        "rect, n", [(((0,), (1,)), 3), (((4,), (1,)), 3), (((1,), (0,)), 4), (((1,), (5,)), 4)]
+    )
+    def test_factor_indices_out_of_range_refused(self, rect, n):
+        # a 3 x 4 matrix: index 0 and index n + 1 on the row side and on the column side
+        with pytest.raises(ValueError, match=rf"outside \[1, {n}\]"):
+            cover_to_factors((((1,), (1,)), rect), 3, 4)
+
 
 class TestAntichainBound:
     @pytest.mark.parametrize("n", range(2, 21))
