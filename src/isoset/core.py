@@ -94,11 +94,15 @@ class Subset:
 
     @classmethod
     def of(cls, elements: Iterable[int], universe: int) -> "Subset":
+        """The subset of ``elements``; ValueError for one outside [1, universe] or repeated."""
         bits = 0
         for e in elements:
             if not 1 <= e <= universe:
                 raise ValueError(f"element {e} outside [1, {universe}]")
-            bits |= 1 << (e - 1)
+            bit = 1 << (e - 1)
+            if bits & bit:
+                raise ValueError(f"element {e} repeated")
+            bits |= bit
         return cls(universe, bits)
 
     def elements(self) -> tuple[int, ...]:
@@ -331,24 +335,16 @@ def enumerate_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
     Colex order compares largest elements first, so the output starts with
     the subsets of [t], then those whose maximum is t+1, and so on.  The
     order is the fixed row/column order of generated intersection matrices.
+    Raises RangeError unless 1 <= t <= k, and then ResourceLimitError when
+    C(k, t) exceeds max_dimension() (the ISOSET_MAX_DIM cap).
     """
     if k < 1 or t < 1:
         raise RangeError(f"need k >= 1 and t >= 1, got k={k}, t={t}")
     if t > k:
         raise RangeError(f"cannot choose {t}-subsets from [{k}]")
+    check_cap(comb(k, t), f"rows of A_({k},{t})")
     combos = sorted(combinations(range(1, k + 1), t), key=lambda c: c[::-1])
     return tuple(Subset.of(c, k) for c in combos)
-
-
-def _capped_t_subsets(k: int, t: int) -> tuple[Subset, ...]:
-    """enumerate_t_subsets(k, t), refused when C(k, t) exceeds max_dimension().
-
-    An out-of-range (k, t) skips the cap, so enumerate_t_subsets raises
-    RangeError before math.comb sees a negative argument.
-    """
-    if k >= t >= 1:
-        check_cap(comb(k, t), f"rows of A_({k},{t})")
-    return enumerate_t_subsets(k, t)
 
 
 def _element_index(groups: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -395,5 +391,5 @@ def build_A(k: int, t: int) -> BoolMatrix:
     symmetric with an all-ones diagonal.  Raises ResourceLimitError when its
     dimension C(k, t) exceeds max_dimension() (the ISOSET_MAX_DIM cap).
     """
-    subsets = _capped_t_subsets(k, t)
+    subsets = enumerate_t_subsets(k, t)
     return realize(subsets, subsets)

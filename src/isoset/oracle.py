@@ -22,11 +22,11 @@ from .core import (
     RangeError,
     SearchResult,
     Subset,
-    _capped_t_subsets,
     _element_index,
     _meeting,
     _transpose,
     check_cap,
+    enumerate_t_subsets,
     iter_bits,
 )
 
@@ -136,7 +136,7 @@ def compat_graph(k: int, t: int, identity: bool = False) -> CompatGraph:
     identity graph requires both to be empty.  Raises ResourceLimitError
     when C(k, t) exceeds the dimension cap.
     """
-    masks = [s.bits for s in _capped_t_subsets(k, t)]
+    masks = [s.bits for s in enumerate_t_subsets(k, t)]
     pairs = [(x, y) for y in masks for x in masks if x & y]  # colex pair order
     vertices = tuple((Subset(k, x), Subset(k, y)) for x, y in pairs)
     return CompatGraph(vertices, tuple(_compatible(pairs, identity)))
@@ -167,6 +167,18 @@ def _neighbours(
             xs = miss_ry if identity else masks
         out.extend((x, y) for x in xs if x != rx and (x & y).bit_count() >= c)
     return out
+
+
+def _first_pairs(a: int, b: int, k: int) -> list[tuple[int, int]]:
+    """The S_k orbit representatives of the meeting (a-subset, b-subset) pairs of [k].
+
+    One per overlap c = |A & B|, c ascending: ({1..a}, {1..c} + {a+1..a+b-c}).
+    """
+    return [
+        ((1 << a) - 1, ((1 << c) - 1) | (((1 << (b - c)) - 1) << a))
+        for c in range(1, min(a, b) + 1)
+        if a + b - c <= k
+    ]
 
 
 def _greedy_clique(adj: Sequence[int], vertices: int, order: list[int]) -> list[int]:
@@ -262,11 +274,10 @@ def _orbit_clique_search(
 
     S_k acts on the 1-entries (x, y) of A(k, t) and preserves both graphs;
     its orbits are the values c = |x & y| = 1..t.  A maximum clique can be
-    moved onto one holding the representative rep_c = ({1..t}, {1..c} +
-    {t+1..2t-c}) of the smallest c among its vertices, so for each c in
-    turn (orbits with 2t - c > k are empty) the search runs on the
-    neighbours of rep_c with |x & y| >= c: earlier orbits are dropped, as
-    every clique meeting them was covered there.  The full graph is never
+    moved onto one holding the representative rep_c (_first_pairs) of the
+    smallest c among its vertices, so for each c in turn the search runs on
+    the neighbours of rep_c with |x & y| >= c: earlier orbits are dropped,
+    as every clique meeting them was covered there.  The full graph is never
     built, nor is the pair list outside each neighbourhood: _neighbours
     lists it straight from the t-subsets.  _max_clique colours in index
     order, so each subgraph is numbered by non-increasing degree (a stable
@@ -281,16 +292,14 @@ def _orbit_clique_search(
     ceiling - 1, as rep_c is one more entry, and once a clique of
     ``ceiling`` entries is held the remaining orbits are skipped.
     """
-    masks = [s.bits for s in _capped_t_subsets(k, t)]
+    masks = [s.bits for s in enumerate_t_subsets(k, t)]
     best: list[tuple[int, int]] = []
     nodes = _Nodes(max_nodes)
     complete = True
-    orbits = [c for c in range(1, t + 1) if 2 * t - c <= k]
-    reps = [((1 << t) - 1, ((1 << c) - 1) | (((1 << (t - c)) - 1) << t)) for c in orbits]
-    for c, rep in zip(orbits, reps):
+    for rep in _first_pairs(t, t, k):
         if len(best) >= ceiling:
             break
-        sub = _neighbours(masks, rep, c, identity)
+        sub = _neighbours(masks, rep, (rep[0] & rep[1]).bit_count(), identity)
         adj = _compatible(sub, identity)
         order = sorted(range(len(sub)), key=lambda v: -adj[v].bit_count())
         everyone = (1 << len(sub)) - 1
@@ -349,7 +358,7 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
     Depth-first extension of pair sequences (A_i, B_i) where A_i must meet
     every earlier B_j and B_i must avoid every earlier A_j.  Completeness-
     preserving reductions under universe relabeling: the first pair is
-    canonical per overlap size (A_1 = {1..a}, B_1 = {1..c} + {a+1..a+b-c}),
+    canonical per overlap size (the representatives of _first_pairs),
     and later pairs introduce fresh elements only as the next consecutive
     integers.  Explored states, keyed by (union of rows, set of columns),
     are memoized and never re-expanded.  No triangular family has more than
@@ -363,12 +372,8 @@ def max_triangular_bruteforce(a: int, b: int, k: int, budget: RankBudget | None 
     check_cap(comb(k, a) * comb(k, b), "candidate pairs")
     budget = budget or RankBudget()
 
-    # canonical first pairs, one per overlap c; c = min(a, b) fits as max(a, b) <= k
-    firsts = [
-        ((1 << a) - 1, ((1 << c) - 1) | (((1 << (b - c)) - 1) << a), a + b - c)
-        for c in range(1, min(a, b) + 1)
-        if a + b - c <= k
-    ]
+    # c = min(a, b) fits as max(a, b) <= k, so there is at least one first pair
+    firsts = [(x, y, (x | y).bit_length()) for x, y in _first_pairs(a, b, k)]
     ceiling = comb(a + b, a) - 1
     nodes = _Nodes(budget.max_nodes)
     best: tuple = (firsts[0][:2],)  # a single meeting pair is already triangular
@@ -433,19 +438,20 @@ def fooling_lower_bound(m: BoolMatrix) -> int:
     """Size of a greedily built isolation set of entries of m.
 
     Scans 1-entries in row-major order and keeps an entry whenever it
-    shares no row or column with the entries kept so far and closes no
-    all-ones 2x2 submatrix with any of them.  Always a lower bound on the
-    Boolean rank.
+    closes no all-ones 2x2 submatrix with the entries kept so far.  Two
+    ones in one row or one column always close one, so a row keeps at most
+    one entry: the lowest one (i, j) with m[p][j] = 0 for every kept (p, q)
+    with m[i][q] = 1.  Always a lower bound on the Boolean rank.
     """
-    chosen: list[tuple[int, int]] = []
-    for i, row in enumerate(m.rows):
-        for j in iter_bits(row):
-            if all(
-                p != i and q != j and not (row >> q & 1 and m.rows[p] >> j & 1)
-                for p, q in chosen
-            ):
-                chosen.append((i, j))
-    return len(chosen)
+    kept: list[tuple[int, int]] = []  # (row p, bit q) of each kept one (p, q)
+    for row in m.rows:
+        free = row
+        for row_p, q in kept:
+            if row & q:
+                free &= ~row_p
+        if free:
+            kept.append((row, free & -free))
+    return len(kept)
 
 
 def _maximal_bicliques(m: BoolMatrix, cap: int) -> tuple[list[tuple[int, int]], bool]:

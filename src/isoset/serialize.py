@@ -68,13 +68,16 @@ def family_from_json(text: str) -> FamilyPair:
         if version != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {version}")
         universe = _integer(doc["universe"], "universe")
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ParseError(f"meta must be an object, got {json.dumps(meta)}")
         fp = FamilyPair(
             universe=universe,
             row_size=_integer(doc["row_size"], "row_size"),
             col_size=_integer(doc["col_size"], "col_size"),
             rows=_subsets(doc["rows"], universe, "rows"),
             cols=_subsets(doc["cols"], universe, "cols"),
-            meta=dict(doc.get("meta") or {}),
+            meta=meta,
         )
     except ParseError:
         raise

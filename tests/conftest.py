@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -103,6 +104,33 @@ def naive_star_cover_holds(k, t):
     ones = {(x, y) for x in subsets for y in subsets if x & y}
     stars = [{(x, y) for x in subsets if e in x for y in subsets if e in y} for e in range(k)]
     return all(star <= ones for star in stars) and set().union(*stars) == ones
+
+
+def naive_triangular(a, b, k):
+    """Most pairs (A_i, B_i) of a- and b-subsets of [k] with A_i meeting B_j exactly when i >= j.
+
+    The next pair's A must meet every earlier B and its own B, and its B
+    must miss every earlier A, so how far a sequence extends depends only
+    on the union of its As and the set of its Bs, on which the search is
+    memoised.  Every subset is tried at every step, with Python sets.
+    """
+    a_sets = [frozenset(s) for s in combinations(range(1, k + 1), a)]
+    b_sets = [frozenset(s) for s in combinations(range(1, k + 1), b)]
+
+    @cache
+    def longest(union_a, bs):
+        return max(
+            (
+                1 + longest(union_a | x, bs | {y})
+                for x in a_sets
+                if all(x & y_old for y_old in bs)
+                for y in b_sets
+                if x & y and not y & union_a
+            ),
+            default=0,
+        )
+
+    return longest(frozenset(), frozenset())
 
 
 def elements_of(fp):

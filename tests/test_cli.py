@@ -207,6 +207,17 @@ class TestVerify:
         assert code == 3
         assert captured.out == "" and "at least one pair" in captured.err
 
+    def test_repeated_element_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "repeat.json"
+        path.write_text(
+            '{"schema_version": 1, "universe": 3, "row_size": 2, "col_size": 2,'
+            ' "rows": [[1, 1, 2]], "cols": [[1, 3]]}'
+        )
+        code = main(["verify", "isolation", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "element 1 repeated" in captured.err
+
     def test_boolean_universe_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text(

@@ -76,6 +76,13 @@ class TestSubset:
         with pytest.raises(ValueError):
             Subset(universe=3, bits=1 << 3)
 
+    def test_rejects_repeated_element(self):
+        # [1, 1, 2] once read as the 2-subset {1, 2}
+        with pytest.raises(ValueError, match="element 1 repeated"):
+            S([1, 1, 2], 4)
+        with pytest.raises(ValueError, match="element 3 repeated"):
+            FamilyPair.from_elements([[1, 3, 3]], [[1, 2]], 4)
+
 
 class TestIntersects:
     def test_shared_element(self):
@@ -116,6 +123,21 @@ class TestEnumerateTSubsets:
     def test_t_larger_than_k(self):
         with pytest.raises(ValueError):
             enumerate_t_subsets(3, 4)
+
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "10")
+        assert len(enumerate_t_subsets(5, 2)) == len(enumerate_t_subsets(5, 3)) == 10
+        with pytest.raises(ResourceLimitError, match="20 rows of A_\\(6,3\\)"):
+            enumerate_t_subsets(6, 3)
+        monkeypatch.delenv("ISOSET_MAX_DIM")
+        with pytest.raises(ResourceLimitError):
+            enumerate_t_subsets(20, 10)  # C(20, 10) = 184,756 over the default 2**16
+
+    @pytest.mark.parametrize("k,t", [(3, 4), (0, 1), (5, 0), (5, -1)])
+    def test_range_checked_before_the_cap(self, monkeypatch, k, t):
+        monkeypatch.setenv("ISOSET_MAX_DIM", "1")
+        with pytest.raises(RangeError):
+            enumerate_t_subsets(k, t)
 
 
 class TestBuildA:

@@ -44,6 +44,7 @@ from isoset.oracle import (
     _compatible,
     _cover_search,
     _factor_search,
+    _first_pairs,
     _greedy_cover,
     _max_clique,
     _maximal_bicliques,
@@ -61,6 +62,7 @@ from conftest import (
     naive_max_fooling_set,
     naive_neighbours,
     naive_star_cover_holds,
+    naive_triangular,
     permute,
 )
 
@@ -388,6 +390,35 @@ class TestMaxTriangular:
     def test_deterministic(self):
         assert max_triangular_bruteforce(2, 2, 7) == max_triangular_bruteforce(2, 2, 7)
 
+    @pytest.mark.parametrize(
+        "a, b, k",
+        [(2, 1, 4), (1, 3, 6), (3, 1, 7), (2, 2, 5), (2, 2, 6), (2, 2, 7), (2, 3, 6), (3, 2, 6)]
+        + [pytest.param(2, 3, 7, marks=pytest.mark.slow)],  # 30 s for the naive search
+    )
+    def test_optimum_matches_naive_search(self, a, b, k):
+        # the naive search uses neither the canonical first pairs nor the
+        # fresh-element rule
+        result = max_triangular_bruteforce(a, b, k)
+        assert result.complete and result.optimum == naive_triangular(a, b, k)
+
+
+class TestFirstPairs:
+    @pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 5) for b in range(1, 5)])
+    def test_one_pair_per_overlap_found_among_all_pairs(self, a, b):
+        for k in range(1, 9):
+            pairs = _first_pairs(a, b, k)
+            sets = [(set(iter_bits(x << 1)), set(iter_bits(y << 1))) for x, y in pairs]
+            for x, y in sets:
+                assert len(x) == a and len(y) == b and x | y <= set(range(1, k + 1))
+            overlaps = [len(x & y) for x, y in sets]
+            found = {
+                len(set(x) & set(y))
+                for x in combinations(range(1, k + 1), a)
+                for y in combinations(range(1, k + 1), b)
+                if set(x) & set(y)
+            }
+            assert overlaps == sorted(found)
+
 
 def j_minus_i(n: int) -> BoolMatrix:
     return BoolMatrix.from_rows([[int(i != j) for j in range(n)] for i in range(n)])
@@ -577,6 +608,11 @@ class TestBooleanRank:
     def test_factor_indices_out_of_range_refused(self, rect, n):
         # a 3 x 4 matrix: index 0 and index n + 1 on the row side and on the column side
         with pytest.raises(ValueError, match=rf"outside \[1, {n}\]"):
+            cover_to_factors((((1,), (1,)), rect), 3, 4)
+
+    @pytest.mark.parametrize("rect", [((1, 1), (1,)), ((1,), (2, 2))])
+    def test_factor_indices_repeated_refused(self, rect):
+        with pytest.raises(ValueError, match="repeated"):
             cover_to_factors((((1,), (1,)), rect), 3, 4)
 
 
@@ -1058,7 +1094,35 @@ class TestMaxFoolingSet:
                 assert fooling <= result.lower_bound <= rank <= result.optimum
 
 
+def naive_greedy_fooling(grid):
+    """The greedy fooling set one 1-entry at a time, row-major, with Python sets.
+
+    An entry is kept when it shares no row or column with a kept entry and
+    closes no all-ones 2x2 with any of them.
+    """
+    ones = {(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v}
+    kept = []
+    for i, j in sorted(ones):
+        if all(p != i and q != j and not {(i, q), (p, j)} <= ones for p, q in kept):
+            kept.append((i, j))
+    return len(kept)
+
+
+@st.composite
+def grids_with_repeated_rows(draw):
+    """0/1 grids of up to 9 rows drawn from a few rows and a zero row, so rows repeat."""
+    n_cols = draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols)
+    pool = draw(st.lists(row, min_size=1, max_size=4)) + [[0] * n_cols]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+
+
 class TestFoolingLowerBound:
+    @settings(max_examples=300)
+    @given(SMALL_GRIDS | grids_with_repeated_rows())
+    def test_matches_one_by_one_scan(self, grid):
+        assert fooling_lower_bound(BoolMatrix.from_rows(grid)) == naive_greedy_fooling(grid)
+
     def test_all_ones(self):
         assert fooling_lower_bound(BoolMatrix.all_ones(3, 3)) == 1
 

@@ -94,6 +94,29 @@ class TestFamilyDocument:
         with pytest.raises(ParseError):
             family_from_json("[1, 2]")
 
+    @pytest.mark.parametrize("meta", [[[1, 2]], 0, "", False, [], None])
+    def test_rejects_meta_that_is_not_an_object(self, meta):
+        # [[1, 2]] once became {1: 2}, was written back as {"1": 2}, and
+        # re-read as another family; the falsy values became {}
+        doc = json.loads(family_to_json(identity_family(6, 2)))
+        doc["meta"] = meta
+        with pytest.raises(ParseError, match="meta must be an object"):
+            family_from_json(json.dumps(doc))
+
+    def test_missing_meta_is_empty(self):
+        doc = json.loads(family_to_json(identity_family(6, 2)))
+        del doc["meta"]
+        assert family_from_json(json.dumps(doc)).meta == {}
+
+    def test_rejects_repeated_elements(self):
+        # [1, 1, 2] once read as the 2-subset {1, 2} and was written back as [1, 2]
+        doc = {
+            "schema_version": 1, "universe": 3, "row_size": 2, "col_size": 2,
+            "rows": [[1, 1, 2]], "cols": [[1, 3]],
+        }
+        with pytest.raises(ParseError, match="element 1 repeated"):
+            family_from_json(json.dumps(doc))
+
     def test_rejects_true_and_float_for_integers(self):
         # True == 1 and 1.0 == 1 pass FamilyPair's checks, so without a type
         # check this parsed and wrote "universe": true back out
